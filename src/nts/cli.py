@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -22,8 +21,11 @@ from .itcore import Channel, Distribution, ResourceLimitError, kl_masses
 from .exponents import (
     StrictDomainReport,
     correct_exponent_ml,
+    correct_exponent_ml_sweep,
     correct_exponent_strict,
     error_exponent,
+    error_exponent_sweep,
+    minus_one_family,
 )
 from .oracle import ImplicitKind, cc_bound, exact_finite_n, implicit_exponent
 from .iterate import check_lower_than, fixed_rate_run, fixed_slope_run
@@ -32,6 +34,9 @@ from .simulate import Scheme, SimConfig, nts_run
 _COMMANDS = ("curves", "iterate-rate", "iterate-slope", "oracle", "exact", "simulate")
 _PARAM_KEYS = {"rate", "delta", "rho", "n", "blocks", "seed", "rate_grid"}
 _ORACLE_RESOLUTION = 60
+# Longest accepted rate grid: each rate is one |X| x |Y| slab of the batched
+# exponent evaluation in `curves`.
+_MAX_RATES = 100_000
 
 
 class ConfigError(Exception):
@@ -76,6 +81,15 @@ def _require_keys(obj: dict, allowed: set, where: str):
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{where}.{key}" if where else key, "unknown key")
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def parse_config(path: str):
@@ -123,8 +137,12 @@ def parse_config(path: str):
         for key in ("start", "stop", "step"):
             if key not in rg:
                 raise ConfigError(f"params.rate_grid.{key}", "missing")
+            if not _is_finite_number(rg[key]):
+                raise ConfigError(f"params.rate_grid.{key}", f"must be a finite number, got {rg[key]!r}")
         if rg["step"] <= 0 or rg["stop"] < rg["start"]:
             raise ConfigError("params.rate_grid", "need step > 0 and stop >= start")
+        if not _grid_span(rg) < _MAX_RATES:
+            raise ConfigError("params.rate_grid", f"more than {_MAX_RATES} rates")
 
     cfg = ChannelConfig(
         input_alphabet_size=channel.num_inputs,
@@ -176,39 +194,29 @@ def _emit_manifest(out_dir: str, command: str, params: dict, seed, outputs: list
     _write_json(os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json"), manifest.to_dict())
 
 
-def _worker_count(tasks: int) -> int:
-    env = os.environ.get("NTS_THREADS", "")
-    try:
-        bound = int(env) if env else 1
-    except ValueError:
-        bound = 1
-    return max(1, min(bound, tasks))
+def _grid_span(rg: dict) -> float:
+    """Number of steps in the rate grid (its length minus one), unrounded."""
+    return (float(rg["stop"]) - float(rg["start"])) / float(rg["step"]) + 1e-9
 
 
 def _rate_grid(params: dict) -> list:
     rg = _need(params, "rate_grid", "curves")
-    start, stop, step = float(rg["start"]), float(rg["stop"]), float(rg["step"])
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    start, step = float(rg["start"]), float(rg["step"])
+    count = int(math.floor(_grid_span(rg))) + 1
     return [start + i * step for i in range(count)]
 
 
 def _cmd_curves(channel: Channel, q0: Distribution, params: dict, out_dir: str) -> list:
     rates = _rate_grid(params)
-
-    def one(rate: float):
-        err = error_exponent(rate, q0, channel)
-        corr = correct_exponent_ml(rate, q0, channel)
-        strict = correct_exponent_strict(rate, q0, channel)
-        strict_val = None if isinstance(strict, StrictDomainReport) else strict.value
-        return (rate, err.value, corr.value, strict_val, err.rho_star, corr.rho_star)
-
-    workers = _worker_count(len(rates))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, rates))
-    else:
-        rows = [one(r) for r in rates]
-
+    err = error_exponent_sweep(rates, q0, channel)
+    corr = correct_exponent_ml_sweep(rates, q0, channel)
+    # The strict exponent equals the ML one up to r_plus and is not given
+    # by the explicit formula above it.
+    r_plus = minus_one_family(q0, channel).r_plus
+    rows = []
+    for i, rate in enumerate(rates):
+        strict = None if rate > r_plus else corr.value[i]
+        rows.append((rate, err.value[i], corr.value[i], strict, err.rho_star[i], corr.rho_star[i]))
     path = os.path.join(out_dir, "curves.csv")
     _write_csv(
         path,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .itcore import Channel, Distribution, JointDistribution, kl_masses
-from .exponents import correct_exponent_ml, tilted_objective
+from .exponents import ExponentResult, _kernel_inputs, _tilted, correct_exponent_ml, tilted_objective
 from .oracle import min_over_small_supports
 
 
@@ -32,6 +32,8 @@ class RateStepRecord:
     exponent_before: float
     exponent_after: float
     guaranteed_decrease: float
+    # correct_exponent_ml(rate, q_after): the next step's "before" evaluation.
+    result_after: ExponentResult
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,16 @@ class LowerThanReport:
     worst_support: tuple | None
 
 
-def fixed_rate_step(q: Distribution, rate: float, p: Channel) -> RateStepRecord:
+def fixed_rate_step(
+    q: Distribution, rate: float, p: Channel, before: ExponentResult | None = None
+) -> RateStepRecord:
     """One update Q <- input marginal of the minimizing joint at rate R.
 
     The guaranteed decrease is (1 + rho_hat') * D(Q' || Q) with rho_hat' the
-    supporting-line slope at the new distribution.
+    supporting-line slope at the new distribution.  ``before`` is
+    ``correct_exponent_ml(rate, q, p)`` if the caller already has it.
     """
-    res = correct_exponent_ml(rate, q, p)
+    res = before if before is not None else correct_exponent_ml(rate, q, p)
     q_after = Distribution(res.minimizer.marginal_x)
     res_after = correct_exponent_ml(rate, q_after, p)
     decrease = (1.0 + res_after.rho_star) * kl_masses(q_after.probs, q.probs)
@@ -85,6 +90,7 @@ def fixed_rate_step(q: Distribution, rate: float, p: Channel) -> RateStepRecord:
         exponent_before=res.value,
         exponent_after=res_after.value,
         guaranteed_decrease=decrease,
+        result_after=res_after,
     )
 
 
@@ -101,9 +107,11 @@ def fixed_rate_run(
         raise ValueError("tol must be positive")
     records = []
     q = q0
+    before = None
     for _ in range(max_iter):
-        rec = fixed_rate_step(q, rate, p)
+        rec = fixed_rate_step(q, rate, p, before)
         records.append(rec)
+        before = rec.result_after
         exp_change = rec.exponent_before - rec.exponent_after
         tv = 0.5 * float(np.abs(rec.q_after.probs - q.probs).sum())
         q = rec.q_after
@@ -129,19 +137,10 @@ def check_lower_than(q0: Distribution, rate: float, p: Channel) -> LowerThanRepo
 
 
 def _slope_update(q: Distribution, rho: float, p: Channel):
-    """(T, V, q_next) of the fixed-slope two-stage update at Q."""
-    gamma = 1.0 / (1.0 + rho)
-    u = np.where(p.matrix > 0, p.matrix**gamma, 0.0)  # (nx, ny)
-    u[q.probs == 0] = 0.0
-    inner = q.probs @ u  # (ny,)
-    t_unnorm = np.where(inner > 0, inner ** (1.0 + rho), 0.0)
-    t = t_unnorm / t_unnorm.sum()
-    v = np.zeros((p.num_outputs, p.num_inputs))
-    pos = inner > 0
-    v[pos] = (q.probs[:, None] * u)[:, pos].T / inner[pos, None]
-    v[~pos] = q.probs
-    q_next = Distribution(t @ v)
-    return t, v, q_next
+    """(T, V, q_next) of the fixed-slope two-stage update at Q: the tilted
+    pair at rho and the input marginal of T o V."""
+    _, _, t, v = _tilted(np.array([float(rho)]), *_kernel_inputs(q, p))
+    return t[0], v[0], Distribution(t[0] @ v[0])
 
 
 def fixed_slope_step(q: Distribution, rho: float, p: Channel) -> SlopeStepRecord:
@@ -187,13 +186,13 @@ def fixed_slope_run(
 
 def stationarity_residual(q: Distribution, rho: float, p: Channel) -> float:
     """Max-min spread over supp(Q) of the per-letter stationarity values
-    sum_y P^gamma(y|x) [sum_a Q(a) P^gamma(y|a)]^rho; zero at a minimizer."""
+    sum_y P^gamma(y|x) [sum_a Q(a) P^gamma(y|a)]^rho; zero at a minimizer.
+
+    With the tilted pair at rho these values are e^{-E0} (T o V)(x) / Q(x).
+    """
     if not (-1.0 < rho < 0.0):
         raise ValueError(f"rho must lie strictly inside (-1, 0), got {rho}")
-    gamma = 1.0 / (1.0 + rho)
+    e0s, _, t, v = _tilted(np.array([float(rho)]), *_kernel_inputs(q, p))
     supp = q.support
-    u = np.where(p.matrix > 0, p.matrix**gamma, 0.0)
-    inner = q.probs[supp] @ u[supp]  # (ny,)
-    pos = inner > 0
-    vals = u[supp][:, pos] @ (inner[pos] ** rho)
+    vals = math.exp(-e0s[0]) * (t[0] @ v[0])[supp] / q.probs[supp]
     return float(vals.max() - vals.min())

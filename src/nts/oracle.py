@@ -1,12 +1,13 @@
 """Independent ground truth for the exponent machinery.
 
-Nothing here uses the tilted closed forms: the implicit exponents are
-minimized numerically over joint types (grid sweep at a type denominator,
+The cross-checks use none of the tilted closed forms: the implicit exponents
+are minimized numerically over joint types (grid sweep at a type denominator,
 then coordinate descent with simplex projection), the constant-composition
-bounds are minimized over channel conditionals, finite-blocklength event
-probabilities are computed exactly by enumerating types, and the
+bounds are minimized over channel conditionals, and finite-blocklength event
+probabilities are computed exactly by enumerating types.  The
 convergence-condition right-hand side is a brute-force minimum over small
-supports.
+supports; it is not a cross-check, and it evaluates E0 with the tilted kernel
+of the exponents module.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .itcore import (
     compositions_iter,
     num_compositions,
 )
-from .exponents import capacity
+from .exponents import _log_partition, _math_log, _safe_log, capacity
 
 # Coarse-sweep budget: the largest type denominator whose composition count
 # fits this cap is used; the descent refinement supplies final precision.
@@ -680,50 +681,53 @@ class _SupportObjective:
 
     Maximizes E0(rho, Q) - rho*rate over rho by golden section on the concave
     objective (plus the rho = -1 and rho = 0 endpoints), instead of re-running
-    the slope bisection of the exponents module at every descent step.
+    the slope bisection of the exponents module at every descent step.  E0
+    comes from the tilted kernel of the exponents module; a batch of Q rows
+    runs its golden sections in lockstep.
     """
 
     def __init__(self, rate: float, support: tuple, p: Channel):
         self.rate = rate
-        sub = p.matrix[list(support)]  # (s, ny)
-        self.sub = sub
-        self.logsub = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0)), -np.inf)
+        self.sub = p.matrix[list(support)]  # (s, ny)
+        self.logsub = _safe_log(self.sub)
 
-    def _e0(self, rho: float, qsub: np.ndarray) -> float:
-        pos = qsub > 0
-        gamma = 1.0 / (1.0 + rho)
-        with np.errstate(invalid="ignore"):
-            terms = np.log(qsub[pos])[:, None] + gamma * self.logsub[pos]
-        terms[np.isnan(terms)] = -np.inf
-        mx = terms.max(axis=0)
-        ok = mx > -np.inf
-        li = np.full(mx.shape, -np.inf)
-        li[ok] = mx[ok] + np.log(np.exp(terms[:, ok] - mx[ok]).sum(axis=0))
-        vals = (1.0 + rho) * li[ok]
-        vm = vals.max()
-        return -(vm + math.log(np.exp(vals - vm).sum()))
+    def values_and_rhos(self, qsub: np.ndarray):
+        """(value, rho*) arrays for a batch of Q rows ``qsub`` (B, s); each
+        row follows the same golden-section sequence as it would alone."""
+        logq = _safe_log(qsub)
 
-    def value_and_rho(self, qsub: np.ndarray):
-        g = lambda rho: self._e0(rho, qsub) - rho * self.rate
-        lo, hi = -1.0 + _RHO_EDGE_ORACLE, 0.0
+        def g(rho):
+            return -_log_partition(rho, logq, self.logsub)[-1] - rho * self.rate
+
+        lo = np.full(qsub.shape[0], -1.0 + _RHO_EDGE_ORACLE)
+        hi = np.zeros(qsub.shape[0])
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
         gc, gd = g(c), g(d)
         for _ in range(40):
-            if gc >= gd:
-                hi, d, gd = d, c, gc
-                c = hi - _GOLDEN * (hi - lo)
-                gc = g(c)
-            else:
-                lo, c, gc = c, d, gd
-                d = lo + _GOLDEN * (hi - lo)
-                gd = g(d)
-        rho_in, val_in = (c, gc) if gc >= gd else (d, gd)
-        best_m1 = self.sub[qsub > 0].max(axis=0)
-        val_m1 = -math.log(best_m1.sum()) + self.rate
-        candidates = [(0.0, 0.0), (rho_in, val_in), (-1.0, val_m1)]
-        rho, val = max(candidates, key=lambda t: t[1])
+            left = gc >= gd
+            hi = np.where(left, d, hi)
+            lo = np.where(left, lo, c)
+            x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+            gx = g(x)
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            gc, gd = np.where(left, gx, gd), np.where(left, gc, gx)
+        inner = gc >= gd
+        rho = np.where(inner, c, d)
+        val = np.where(inner, gc, gd)
+        # Endpoints, taken only when strictly better (rho = 0 first): E0 is
+        # zero at rho = 0, and at rho = -1 it is -log sum_y max_{supp Q} P.
+        at_zero = ~(val > 0.0)
+        rho[at_zero], val[at_zero] = 0.0, 0.0
+        best = np.where(qsub[:, :, None] > 0, self.sub, -np.inf).max(axis=1)
+        val_m1 = -_math_log(best.sum(axis=1)) + self.rate
+        at_m1 = val_m1 > val
+        rho[at_m1], val[at_m1] = -1.0, val_m1[at_m1]
         return val, rho
+
+    def value_and_rho(self, qsub: np.ndarray):
+        val, rho = self.values_and_rhos(qsub[None, :])
+        return float(val[0]), float(rho[0])
 
     def gradient(self, qsub: np.ndarray, rho: float) -> np.ndarray:
         if rho <= -1 + 1e-9 or rho >= -1e-12:
@@ -748,7 +752,7 @@ def _minimize_over_support(rate: float, support: tuple, p: Channel, resolution: 
             return obj.value_and_rho(np.array([t, 1.0 - t]))[0]
 
         ts = np.linspace(0.0, 1.0, max(resolution, 5))
-        vals = [val(t) for t in ts]
+        vals = obj.values_and_rhos(np.stack([ts, 1.0 - ts], axis=1))[0].tolist()
         i = int(np.argmin(vals))
         _, ft = _golden_min(val, ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
         return min(ft, min(vals))
@@ -756,27 +760,35 @@ def _minimize_over_support(rate: float, support: tuple, p: Channel, resolution: 
     rng = np.random.default_rng(0)
     starts = [np.full(s, 1.0 / s)]
     starts += [rng.dirichlet(np.ones(s)) for _ in range(19)]
+    # Projected-gradient descent with backtracking line search from every
+    # start.  The starts run in lockstep, one candidate per live start per
+    # round, each following the same steps as it would alone.
+    x = np.array([project_simplex(np.asarray(x0)) for x0 in starts])
+    fx, rho = obj.values_and_rhos(x)
+    g = np.array([obj.gradient(xi, r) for xi, r in zip(x, rho)])
+    step = np.full(len(starts), 0.5)
+    moves = np.zeros(len(starts), dtype=int)
+    live = list(range(len(starts)))
+    while live:
+        cand = np.array([project_simplex(x[i] - step[i] * g[i]) for i in live])
+        fc, rho_c = obj.values_and_rhos(cand)
+        still = []
+        for k, i in enumerate(live):
+            if fc[k] < fx[i] - 1e-12:
+                x[i], fx[i] = cand[k], fc[k]
+                g[i] = obj.gradient(x[i], rho_c[k])
+                step[i] = min(step[i] * 1.5, 2.0)
+                moves[i] += 1
+                if moves[i] < 120:
+                    still.append(i)
+            else:
+                step[i] *= 0.5
+                if step[i] > 1e-10:
+                    still.append(i)
+        live = still
     best = math.inf
-    for x0 in starts:
-        x = project_simplex(np.asarray(x0))
-        fx, rho = obj.value_and_rho(x)
-        g = obj.gradient(x, rho)
-        step = 0.5
-        for _ in range(120):
-            improved = False
-            while step > 1e-10:
-                cand = project_simplex(x - step * g)
-                fc, rho_c = obj.value_and_rho(cand)
-                if fc < fx - 1e-12:
-                    x, fx = cand, fc
-                    g = obj.gradient(x, rho_c)
-                    step = min(step * 1.5, 2.0)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        best = min(best, fx)
+    for f in fx.tolist():
+        best = min(best, f)
     return best
 
 

@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from nts.cli import ConfigError, parse_config, run_command
+from nts.cli import ConfigError, _fmt, parse_config, run_command
+from nts.exponents import (
+    Boundary,
+    StrictDomainReport,
+    correct_exponent_ml,
+    correct_exponent_ml_sweep,
+    correct_exponent_strict,
+    error_exponent,
+    error_exponent_sweep,
+    minus_one_family,
+    tilted_joint,
+)
+from nts.itcore import Channel, Distribution
 
 
 def write_config(path, **overrides):
@@ -86,6 +98,30 @@ class TestExitCodes:
         assert run_command(["curves", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
         assert "rate_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["start", "stop", "step"])
+    @pytest.mark.parametrize("value", ["0.1", True, None, float("nan"), float("inf"), -float("inf"), [0.1]])
+    def test_bad_rate_grid_value_names_field(self, tmp_path, capsys, key, value):
+        grid = {"start": 0.0, "stop": 0.3, "step": 0.05, key: value}
+        cfg = write_config(tmp_path / "c.json", rate_grid=grid)
+        assert run_command(["curves", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+        assert f"params.rate_grid.{key}" in capsys.readouterr().err
+
+    def test_overlong_rate_grid_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", rate_grid={"start": 0.0, "stop": 1.0, "step": 1e-6})
+        assert run_command(["curves", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+        assert "params.rate_grid" in capsys.readouterr().err
+        # A step that overflows the grid length is rejected the same way.
+        cfg = write_config(tmp_path / "c.json", rate_grid={"start": 0.0, "stop": 1e300, "step": 1e-300})
+        assert run_command(["curves", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+
+    def test_rate_grid_cap_is_100000_rates(self, tmp_path):
+        path = write_config(tmp_path / "c.json", rate_grid={"start": 0, "stop": 99_999, "step": 1})
+        parse_config(path)
+        path = write_config(tmp_path / "c.json", rate_grid={"start": 0, "stop": 100_000, "step": 1})
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.field == "params.rate_grid"
+
     def test_numeric_failure_is_4(self, tmp_path):
         # exact with a codebook size beyond 2^30 trips the resource guard
         cfg = write_config(tmp_path / "c.json", n=10, rate=5.0)
@@ -131,14 +167,6 @@ class TestCurves:
         assert run_command(["curves", "--config", cfg, "--out-dir", str(b)]) == 0
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
 
-    def test_threaded_sweep_identical(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.json", rate_grid={"start": 0.0, "stop": 0.3, "step": 0.05})
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run_command(["curves", "--config", cfg, "--out-dir", str(a)]) == 0
-        monkeypatch.setenv("NTS_THREADS", "4")
-        assert run_command(["curves", "--config", cfg, "--out-dir", str(b)]) == 0
-        assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
-
     def test_manifest_written(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", rate_grid={"start": 0.0, "stop": 0.1, "step": 0.05})
         out = tmp_path / "out"
@@ -147,6 +175,105 @@ class TestCurves:
         assert manifest["command"] == "curves"
         assert manifest["outputs"] == [str(out / "curves.csv")]
         assert "timestamp" in manifest and "version" in manifest
+
+
+def reference_row(rate, q, p):
+    """One curves row from per-rate scalar solves: the public exponent
+    functions, as the sweep used them before it was batched."""
+    err = error_exponent(rate, q, p)
+    corr = correct_exponent_ml(rate, q, p)
+    strict = correct_exponent_strict(rate, q, p)
+    strict_val = None if isinstance(strict, StrictDomainReport) else strict.value
+    return (rate, err.value, corr.value, strict_val, err.rho_star, corr.rho_star)
+
+
+def bisection_row(rate, q, p):
+    """The same row from a scalar slope bisection over ``tilted_joint``."""
+
+    def bisect(lo, hi):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if tilted_joint(mid, q, p).slope > rate:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14:
+                break
+        sol = tilted_joint(0.5 * (lo + hi), q, p)
+        return max(sol.e0 - sol.rho * rate, 0.0), sol.rho
+
+    fam = minus_one_family(q, p)
+    i0 = tilted_joint(0.0, q, p).slope
+    if rate >= i0:
+        err = (0.0, 0.0)
+    elif tilted_joint(1.0, q, p).slope >= rate:
+        err = (max(tilted_joint(1.0, q, p).e0 - rate, 0.0), 1.0)
+    else:
+        err = bisect(0.0, 1.0)
+    if rate <= i0:
+        corr = (0.0, 0.0)
+    elif tilted_joint(-1.0 + 1e-6, q, p).slope < rate:
+        corr = (max(fam.e0_minus1 + rate, 0.0), -1.0)
+    else:
+        corr = bisect(-1.0 + 1e-6, 0.0)
+    return (rate, err[0], corr[0], None if rate > fam.r_plus else corr[0], err[1], corr[1])
+
+
+EQUIVALENCE_CASES = {
+    "bsc0.1": ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]),
+    "ternary0.8": ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], [1 / 3, 1 / 3, 1 / 3]),
+    # Zero entries, and output 2 is reachable only from the letter Q omits.
+    "unreachable_output": ([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.1, 0.1, 0.8]], [0.6, 0.4, 0.0]),
+    "q_zero_letter": ([[0.6, 0.3, 0.1], [0.25, 0.5, 0.25], [0.1, 0.2, 0.7]], [0.7, 0.0, 0.3]),
+}
+
+
+class TestCurvesEquivalence:
+    """The batched sweep behind `curves` against per-rate reference loops."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_rows_byte_identical(self, tmp_path, case):
+        rows, q0 = EQUIVALENCE_CASES[case]
+        q, p = Distribution(np.array(q0)), Channel(np.array(rows))
+        # The grid runs from rate 0 past r_plus, through every boundary regime.
+        top = 1.3 * max(minus_one_family(q, p).r_plus, tilted_joint(0.0, q, p).slope)
+        grid = {"start": 0.0, "stop": top, "step": top / 60}
+        cfg = write_config(tmp_path / "c.json", channel={"rows": rows}, q0=q0, rate_grid=grid)
+        out = tmp_path / "out"
+        assert run_command(["curves", "--config", cfg, "--out-dir", str(out)]) == 0
+        lines = (out / "curves.csv").read_text().splitlines()[1:]
+        rates = [grid["start"] + i * grid["step"] for i in range(len(lines))]
+        assert len(lines) == 61
+        for line, rate in zip(lines, rates):
+            for reference in (reference_row, bisection_row):
+                assert line == ",".join(_fmt(v) for v in reference(rate, q, p))
+
+        flags = set(error_exponent_sweep(rates, q, p).boundary)
+        assert flags == {Boundary.RHO_ONE, Boundary.INTERIOR, Boundary.RHO_ZERO}
+        flags = set(correct_exponent_ml_sweep(rates, q, p).boundary)
+        assert flags == {Boundary.RHO_ZERO, Boundary.INTERIOR, Boundary.RHO_MINUS_ONE}
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_sweeps_match_scalar_solves_at_boundary_rates(self, case):
+        rows, q0 = EQUIVALENCE_CASES[case]
+        q, p = Distribution(np.array(q0)), Channel(np.array(rows))
+        fam = minus_one_family(q, p)
+        edges = [
+            tilted_joint(r, q, p).slope for r in (1.0, 0.0, -1.0 + 1e-6)
+        ] + [fam.r_minus, fam.r_plus, 0.0]
+        rates = sorted(max(r, 0.0) for r in edges)
+        for sweep, scalar in (
+            (error_exponent_sweep, error_exponent),
+            (correct_exponent_ml_sweep, correct_exponent_ml),
+        ):
+            batch = sweep(rates, q, p)
+            for i, rate in enumerate(rates):
+                one = scalar(rate, q, p)
+                assert (batch.value[i], batch.rho_star[i], batch.boundary[i]) == (
+                    one.value,
+                    one.rho_star,
+                    one.boundary_flag,
+                )
 
 
 class TestOtherCommands:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nts.itcore import Channel, Distribution, JointDistribution, kl_masses, mutual_information
 from nts.exponents import (
     Boundary,
     StrictDomainReport,
+    _kernel_inputs,
+    _tilted,
     capacity,
     correct_exponent_ml,
     correct_exponent_strict,
@@ -258,3 +261,54 @@ class TestCapacity:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             capacity(BSC, [])
+
+
+# ---------------------------------------------------------------------------
+# properties of the batched tilted kernel
+# ---------------------------------------------------------------------------
+
+
+def _weights(size):
+    # Integer weights give exact zeros and no near-degenerate entries.
+    return st.lists(st.integers(0, 20), min_size=size, max_size=size).filter(any)
+
+
+@st.composite
+def channel_and_q(draw):
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rows = np.array([draw(_weights(ny)) for _ in range(nx)], dtype=float)
+    q = np.array(draw(_weights(nx)), dtype=float)
+    return Distribution(q / q.sum()), Channel(rows / rows.sum(axis=1, keepdims=True))
+
+
+RHO_GRID = np.linspace(-0.95, 1.0, 40)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(channel_and_q())
+    def test_e0_concave_and_slope_nonincreasing(self, qp):
+        q, p = qp
+        e0s, slopes, _, _ = _tilted(RHO_GRID, *_kernel_inputs(q, p))
+        assert np.all(e0s[:-2] - 2 * e0s[1:-1] + e0s[2:] <= 1e-10)
+        assert np.all(np.diff(slopes) <= 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(channel_and_q())
+    def test_rho_zero_gives_zero_and_mutual_information(self, qp):
+        q, p = qp
+        e0s, slopes, _, _ = _tilted(np.array([0.0]), *_kernel_inputs(q, p))
+        info = mutual_information(JointDistribution(q.probs[None, :] * p.matrix.T))
+        assert abs(e0s[0]) <= 1e-10
+        assert abs(slopes[0] - info) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(channel_and_q(), st.lists(st.floats(-0.999, 2.0), min_size=1, max_size=8))
+    def test_batch_matches_scalar_wrappers(self, qp, rhos):
+        q, p = qp
+        e0s, slopes, _, _ = _tilted(np.array(rhos), *_kernel_inputs(q, p))
+        for rho, value, slope in zip(rhos, e0s, slopes):
+            sol = tilted_joint(rho, q, p)
+            assert abs(value - e0(rho, q, p)) <= 1e-12
+            assert abs(value - sol.e0) <= 1e-12
+            assert abs(slope - sol.slope) <= 1e-12

@@ -58,6 +58,40 @@ class TestFixedRateStep:
 
 
 class TestFixedRateRun:
+    @pytest.mark.parametrize(
+        "q0, rate, p",
+        [
+            ((0.95, 0.05), 0.3, BSC),
+            ((0.5, 0.3, 0.2), 0.9, Channel(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))),
+            ((0.6, 0.4), 0.8, ASYM),
+        ],
+    )
+    def test_records_equal_two_solve_steps(self, q0, rate, p):
+        # The run reuses each step's "after" solve as the next "before"; the
+        # records must equal those of steps that solve both themselves.
+        run = fixed_rate_run(Distribution(np.array(q0)), rate, p, max_iter=40)
+        q = run.records[0].q_before
+        for rec in run.records:
+            ref = fixed_rate_step(q, rate, p)
+            assert np.array_equal(rec.q_before.probs, ref.q_before.probs)
+            assert np.array_equal(rec.q_after.probs, ref.q_after.probs)
+            assert np.array_equal(rec.minimizer.mass, ref.minimizer.mass)
+            assert (rec.rho_hat, rec.exponent_before, rec.exponent_after, rec.guaranteed_decrease) == (
+                ref.rho_hat,
+                ref.exponent_before,
+                ref.exponent_after,
+                ref.guaranteed_decrease,
+            )
+            after, ref_after = rec.result_after, ref.result_after
+            assert (after.value, after.rho_star, after.boundary_flag) == (
+                ref_after.value,
+                ref_after.rho_star,
+                ref_after.boundary_flag,
+            )
+            assert np.array_equal(after.minimizer.mass, ref_after.minimizer.mass)
+            q = ref.q_after
+        assert len(run.records) >= 2
+
     def test_single_step_when_rate_below_i(self):
         run = fixed_rate_run(UNIF, 0.2, BSC)
         assert len(run.records) == 1
