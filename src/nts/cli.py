@@ -27,7 +27,7 @@ from .exponents import (
     error_exponent_sweep,
     minus_one_family,
 )
-from .oracle import ImplicitKind, cc_bound, exact_finite_n, implicit_exponent
+from .oracle import ExactFiniteNReport, ImplicitKind, cc_bound, exact_finite_n, implicit_exponent
 from .iterate import check_lower_than, fixed_rate_run, fixed_slope_run
 from .simulate import Scheme, SimConfig, nts_run
 
@@ -37,6 +37,15 @@ _ORACLE_RESOLUTION = 60
 # Longest accepted rate grid: each rate is one |X| x |Y| slab of the batched
 # exponent evaluation in `curves`.
 _MAX_RATES = 100_000
+# Scalar parameters: (kind, smallest accepted value or None).
+_SCALAR_PARAMS = {
+    "n": ("an integer", 1),
+    "blocks": ("an integer", 1),
+    "seed": ("an integer", 0),
+    "rate": ("a finite number", 0),
+    "delta": ("a finite number", 0),
+    "rho": ("a finite number", None),
+}
 
 
 class ConfigError(Exception):
@@ -47,14 +56,6 @@ class ConfigError(Exception):
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    input_alphabet_size: int
-    output_alphabet_size: int
-    matrix: np.ndarray
-    name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _is_finite_number(value) -> bool:
 
 
 def parse_config(path: str):
-    """Load and validate a config file: channel, q0, and command parameters."""
+    """Load and validate a config file; returns ``(channel, q0, params)``."""
     with open(path, "r") as fh:
         try:
             raw = json.load(fh)
@@ -129,6 +130,17 @@ def parse_config(path: str):
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
     _require_keys(params, _PARAM_KEYS, "params")
+    for key, (kind, lowest) in _SCALAR_PARAMS.items():
+        if key not in params:
+            continue
+        value = params[key]
+        if kind == "an integer":
+            valid = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            valid = _is_finite_number(value)
+        if not valid or (lowest is not None and value < lowest):
+            bound = "" if lowest is None else f" >= {lowest}"
+            raise ConfigError(f"params.{key}", f"must be {kind}{bound}, got {value!r}")
     if "rate_grid" in params:
         rg = params["rate_grid"]
         if not isinstance(rg, dict):
@@ -144,13 +156,7 @@ def parse_config(path: str):
         if not _grid_span(rg) < _MAX_RATES:
             raise ConfigError("params.rate_grid", f"more than {_MAX_RATES} rates")
 
-    cfg = ChannelConfig(
-        input_alphabet_size=channel.num_inputs,
-        output_alphabet_size=channel.num_outputs,
-        matrix=channel.matrix,
-        name=chan.get("name"),
-    )
-    return cfg, channel, q0, params
+    return channel, q0, params
 
 
 def _need(params: dict, key: str, command: str):
@@ -312,26 +318,47 @@ def _cmd_exact(channel: Channel, q0: Distribution, params: dict, out_dir: str) -
     rate = float(_need(params, "rate", "exact"))
     delta = float(params.get("delta", 0.0))
     report = exact_finite_n(n, rate, delta, q0, channel)
-    obj = {
-        "n": report.n,
-        "m": report.m,
-        "p_error": report.p_error,
-        "p_correct_strict": report.p_correct_strict,
-        "p_feedback1": report.p_feedback1,
-        "per_type_breakdown": [
-            {
-                "counts": row.joint_type.counts.tolist(),
-                "probability": row.probability,
-                "p_fail_strict": row.p_fail_strict,
-                "p_correct_strict": row.p_correct_strict,
-                "p_feedback1": row.p_feedback1,
-            }
-            for row in report.per_type_breakdown
-        ],
-    }
     path = os.path.join(out_dir, "exact.json")
-    _write_json(path, obj)
+    with open(path, "w", newline="") as fh:
+        fh.write(_exact_json(report))
+        fh.write("\n")
     return [path]
+
+
+def _exact_json(report: ExactFiniteNReport) -> str:
+    """The report as ``json.dumps(indent=2, sort_keys=True)`` would write it,
+    with one object per type in ``per_type_breakdown``.
+
+    The per-type objects come from one %-template, laid out by ``json`` itself
+    for the report's (|Y|, |X|) shape; ``%d`` and ``%r`` format ints and
+    finite floats as ``json`` does (``int.__repr__``, ``float.__repr__``).
+    """
+    table = report.per_type_breakdown
+    header = json.dumps(
+        {
+            "n": report.n,
+            "m": report.m,
+            "p_error": report.p_error,
+            "p_correct_strict": report.p_correct_strict,
+            "p_feedback1": report.p_feedback1,
+            "per_type_breakdown": [],
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    ny, nx = table.counts.shape[1:]
+    # Keys sort as: counts, p_correct_strict, p_fail_strict, p_feedback1,
+    # probability; "per_type_breakdown" is the header's last key.
+    sample = {"counts": [["%d"] * nx] * ny}
+    sample.update(dict.fromkeys(("p_correct_strict", "p_fail_strict", "p_feedback1", "probability"), "%r"))
+    layout = json.dumps(sample, indent=2, sort_keys=True).replace('"%d"', "%d").replace('"%r"', "%r")
+    template = "\n".join("    " + line for line in layout.splitlines())
+    columns = (table.p_correct_strict, table.p_fail_strict, table.p_feedback1, table.probability)
+    rows = ",\n".join(
+        template % (*counts, *values)
+        for counts, *values in zip(table.counts.reshape(len(table), -1).tolist(), *(c.tolist() for c in columns))
+    )
+    return header[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
 
 
 def _cmd_simulate(channel: Channel, q0: Distribution, params: dict, out_dir: str) -> list:
@@ -431,7 +458,7 @@ def run_command(argv) -> int:
         return 1
 
     try:
-        _, channel, q0, params = parse_config(args.config)
+        channel, q0, params = parse_config(args.config)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2

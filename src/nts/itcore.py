@@ -12,7 +12,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterator
 
 import numpy as np
@@ -24,6 +26,8 @@ RENORM_TOL = 1e-9
 # Metric differences at or below this are ties (kept identical between the
 # decoder and the exact finite-n analyzer so both resolve ties the same way).
 TIE_TOL = 1e-12
+# Largest x with a finite exp(x): codebook sizes e^{n*rate} beyond it are refused.
+MAX_LOG_CODEBOOK = math.log(sys.float_info.max)
 
 
 class ResourceLimitError(RuntimeError):
@@ -234,18 +238,26 @@ def compositions_iter(total: int, parts: int) -> Iterator[tuple]:
 
 
 def compositions_array(total: int, parts: int) -> np.ndarray:
-    """All compositions as an int64 array of shape (count, parts)."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        k = np.arange(total + 1, dtype=np.int64)
-        return np.stack([k, total - k], axis=1)
-    blocks = []
-    for first in range(total + 1):
-        rest = compositions_array(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+    """All compositions as an int64 array of shape (count, parts), in the
+    lexicographic order of ``compositions_iter``.
+
+    Stars and bars: each composition is a choice of ``parts - 1`` bar slots
+    among ``total + parts - 1``, and its parts are the gaps between bars.
+    ``combinations`` yields the bar slots in lexicographic order, which is the
+    lexicographic order of the compositions.
+    """
+    count = num_compositions(total, parts)
+    slots = total + parts - 1
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    edges = np.empty((count, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = bars
+    edges[:, -1] = slots
+    return np.diff(edges, axis=1) - 1
 
 
 def enumerate_joint_types(
@@ -265,7 +277,14 @@ def enumerate_joint_types(
 
 
 def codebook_size(n: int, rate: float) -> int:
-    """Codebook size ceil(e^{n*rate}), snapping rates of the form log(m)/n to m."""
+    """Codebook size ceil(e^{n*rate}), snapping rates of the form log(m)/n to m.
+
+    Raises ``ResourceLimitError`` when e^{n*rate} is beyond the float range."""
+    if n * rate > MAX_LOG_CODEBOOK:
+        raise ResourceLimitError(
+            f"codebook size e^(n*rate) = e^{n * rate:.6g} exceeds the cap "
+            f"e^{MAX_LOG_CODEBOOK:.6g} of a float"
+        )
     v = math.exp(n * rate)
     nearest = round(v)
     if nearest >= 1 and abs(v - nearest) <= 1e-9 * max(v, 1.0):

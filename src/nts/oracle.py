@@ -13,7 +13,7 @@ of the exponents module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import combinations
 
@@ -25,7 +25,6 @@ from .itcore import (
     Distribution,
     ResourceLimitError,
     TIE_TOL,
-    TypeWithDenominator,
     codebook_size,
     compositions_array,
     compositions_iter,
@@ -433,20 +432,19 @@ class CompetitorClassTable:
     counts: np.ndarray
     n: int
 
-    def num_offenders(self, threshold: float) -> int:
-        """How many classes have metric >= threshold - TIE_TOL."""
-        return int(np.searchsorted(-self.metrics, -(threshold - TIE_TOL), side="right"))
+    def p_none_at_or_above(self, thresholds: np.ndarray, competitors: int) -> np.ndarray:
+        """P(no one of ``competitors`` i.i.d. codewords lands in a class with
+        metric >= threshold - TIE_TOL), for each of an array of thresholds.
 
-    def log_p_none_at_or_above(self, threshold: float, competitors) -> float:
-        """log P(no one of ``competitors`` i.i.d. codewords lands in a class
-        with metric >= threshold - TIE_TOL)."""
+        The log-domain value ``competitors * log P(class metric < threshold
+        - TIE_TOL)`` is exponentiated by ``math.exp``, not ``np.exp``: the two
+        can differ in the last bit, and the per-type probabilities are
+        written out in full."""
         if competitors <= 0:
-            return 0.0
-        j = self.num_offenders(threshold)
-        tail = self.suffix_logsum[j]
-        if tail == -np.inf:
-            return -np.inf
-        return float(competitors) * float(tail)
+            return np.ones(thresholds.size)
+        j = np.searchsorted(-self.metrics, -(thresholds - TIE_TOL), side="right")
+        log_p = float(competitors) * self.suffix_logsum[j]
+        return np.fromiter(map(math.exp, log_p.tolist()), dtype=float, count=log_p.size)
 
 
 def _cartesian_sum(values: list[np.ndarray]):
@@ -538,12 +536,29 @@ def decode_metric(counts: np.ndarray, n: int, q: Distribution) -> float:
 
 
 @dataclass(frozen=True)
-class TypeEventRow:
-    joint_type: TypeWithDenominator
-    probability: float
-    p_fail_strict: float
-    p_correct_strict: float
-    p_feedback1: float
+class TypeEventTable:
+    """Per-joint-type event probabilities, one row per type, as read-only
+    columns.
+
+    ``counts[k]`` is the (ny, nx) count matrix of type k and
+    ``probability[k]`` its probability; the other columns are conditional on
+    type k.
+    """
+
+    counts: np.ndarray
+    probability: np.ndarray
+    p_fail_strict: np.ndarray
+    p_correct_strict: np.ndarray
+    p_feedback1: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            column = np.array(getattr(self, f.name))
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
 
 
 @dataclass(frozen=True)
@@ -553,7 +568,13 @@ class ExactFiniteNReport:
     p_error: float
     p_correct_strict: float
     p_feedback1: float
-    per_type_breakdown: tuple
+    per_type_breakdown: TypeEventTable
+
+
+def _accumulate(total: float, terms: np.ndarray) -> float:
+    """``total`` plus the terms added one at a time, in order (the sum of a
+    scalar loop, bit for bit)."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
 def exact_finite_n(
@@ -573,6 +594,8 @@ def exact_finite_n(
     ``p_feedback1`` is the probability that the sent message wins with margin
     strictly above delta.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     m = codebook_size(n, rate)
@@ -584,12 +607,12 @@ def exact_finite_n(
 
     qp = q.probs[None, :] * p.matrix.T  # (ny, nx)
     supp = q.support
-    logq = np.log(q.probs[supp])
+    competitors = m - 1
 
     p_error = 0.0
     p_correct = 0.0
     p_f1 = 0.0
-    rows = []
+    blocks = []
     for r in compositions_iter(n, ny):
         r = np.asarray(r, dtype=int)
         table = competitor_class_table(r, q, n)
@@ -630,33 +653,21 @@ def exact_finite_n(
         logp_all += gammaln(n + 1) - gammaln(r + 1).sum()
 
         probs = np.exp(logp_all)
-        competitors = m - 1
-        for k in range(probs.size):
-            b0 = float(metric_all[k])
-            log_corr = table.log_p_none_at_or_above(b0, competitors)
-            p_corr_given = math.exp(log_corr)
-            if delta == math.inf:
-                p_f1_given = 0.0
-            else:
-                p_f1_given = math.exp(table.log_p_none_at_or_above(b0 - delta, competitors))
-            prob = float(probs[k])
-            p_correct += prob * p_corr_given
-            p_error += prob * (1.0 - p_corr_given)
-            p_f1 += prob * p_f1_given
+        p_corr_given = table.p_none_at_or_above(metric_all, competitors)
+        if delta == math.inf:
+            p_f1_given = np.zeros(probs.size)
+        else:
+            p_f1_given = table.p_none_at_or_above(metric_all - delta, competitors)
+        p_fail_given = 1.0 - p_corr_given
+        p_correct = _accumulate(p_correct, probs * p_corr_given)
+        p_error = _accumulate(p_error, probs * p_fail_given)
+        p_f1 = _accumulate(p_f1, probs * p_f1_given)
 
-            counts = np.zeros((ny, nx), dtype=np.int64)
-            for y in range(ny):
-                if per_allowed[y].size:
-                    counts[y, per_allowed[y]] = per_comps[y][idx[y][k]]
-            rows.append(
-                TypeEventRow(
-                    joint_type=TypeWithDenominator(counts, n),
-                    probability=prob,
-                    p_fail_strict=1.0 - p_corr_given,
-                    p_correct_strict=p_corr_given,
-                    p_feedback1=p_f1_given,
-                )
-            )
+        counts = np.zeros((probs.size, ny, nx), dtype=np.int64)
+        for y in range(ny):
+            if per_allowed[y].size:
+                counts[:, y, per_allowed[y]] = per_comps[y][idx[y]]
+        blocks.append((counts, probs, p_fail_given, p_corr_given, p_f1_given))
 
     return ExactFiniteNReport(
         n=n,
@@ -664,7 +675,7 @@ def exact_finite_n(
         p_error=p_error,
         p_correct_strict=p_correct,
         p_feedback1=p_f1,
-        per_type_breakdown=tuple(rows),
+        per_type_breakdown=TypeEventTable(*(np.concatenate(column) for column in zip(*blocks))),
     )
 
 

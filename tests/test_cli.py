@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nts.cli import ConfigError, _fmt, parse_config, run_command
+from nts.cli import ConfigError, _exact_json, _fmt, parse_config, run_command
 from nts.exponents import (
     Boundary,
     StrictDomainReport,
@@ -16,6 +17,7 @@ from nts.exponents import (
     tilted_joint,
 )
 from nts.itcore import Channel, Distribution
+from nts.oracle import exact_finite_n
 
 
 def write_config(path, **overrides):
@@ -46,8 +48,8 @@ def write_config(path, **overrides):
 class TestParseConfig:
     def test_valid_bsc(self, tmp_path):
         path = write_config(tmp_path / "c.json")
-        cfg, channel, q0, params = parse_config(path)
-        assert cfg.input_alphabet_size == 2
+        channel, q0, params = parse_config(path)
+        assert channel.num_inputs == 2
         assert np.allclose(channel.matrix, [[0.9, 0.1], [0.1, 0.9]])
         assert params["rate"] == 0.45
 
@@ -126,6 +128,66 @@ class TestExitCodes:
         # exact with a codebook size beyond 2^30 trips the resource guard
         cfg = write_config(tmp_path / "c.json", n=10, rate=5.0)
         assert run_command(["exact", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 4
+
+
+def rejects_param(tmp_path, capsys, command, key, value):
+    """Run ``command`` with params.<key> set to ``value`` (None is JSON null);
+    true when it exits 3 naming the field."""
+    path = tmp_path / "c.json"
+    write_config(path)
+    cfg = json.loads(path.read_text())
+    cfg["params"][key] = value
+    path.write_text(json.dumps(cfg))
+    code = run_command([command, "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    return code == 3 and f"params.{key}" in capsys.readouterr().err
+
+
+_NOT_NUMBERS = ["x", None, [1], True, False]
+_NOT_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestScalarParams:
+    """Each scalar parameter is type- and range-checked at parse time."""
+
+    @pytest.mark.parametrize("value", [0, -3, 4.7, 4.0, *_NOT_NUMBERS, *_NOT_FINITE])
+    def test_bad_n(self, tmp_path, capsys, value):
+        assert rejects_param(tmp_path, capsys, "exact", "n", value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, *_NOT_NUMBERS, *_NOT_FINITE])
+    def test_bad_blocks(self, tmp_path, capsys, value):
+        assert rejects_param(tmp_path, capsys, "simulate", "blocks", value)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, *_NOT_NUMBERS, *_NOT_FINITE])
+    def test_bad_seed(self, tmp_path, capsys, value):
+        assert rejects_param(tmp_path, capsys, "simulate", "seed", value)
+
+    @pytest.mark.parametrize("value", [-0.1, *_NOT_NUMBERS, *_NOT_FINITE])
+    def test_bad_rate(self, tmp_path, capsys, value):
+        assert rejects_param(tmp_path, capsys, "iterate-rate", "rate", value)
+
+    @pytest.mark.parametrize("value", [-0.1, *_NOT_NUMBERS, *_NOT_FINITE])
+    def test_bad_delta(self, tmp_path, capsys, value):
+        assert rejects_param(tmp_path, capsys, "exact", "delta", value)
+
+    @pytest.mark.parametrize("value", [*_NOT_NUMBERS, *_NOT_FINITE])
+    def test_bad_rho(self, tmp_path, capsys, value):
+        assert rejects_param(tmp_path, capsys, "iterate-slope", "rho", value)
+
+    def test_boundary_values_accepted(self, tmp_path):
+        path = write_config(tmp_path / "c.json", n=1, blocks=1, seed=0, rate=0, delta=0.0, rho=-2.5)
+        _, _, params = parse_config(path)
+        assert (params["n"], params["blocks"], params["seed"], params["rate"]) == (1, 1, 0, 0)
+
+
+class TestCodebookCap:
+    """A codebook size e^{n*rate} beyond the float range exits 4 naming the cap."""
+
+    @pytest.mark.parametrize("command,n,rate", [("exact", 100_000, 0.45), ("simulate", 20_000, 0.5)])
+    def test_exits_4_naming_cap(self, tmp_path, capsys, command, n, rate):
+        cfg = write_config(tmp_path / "c.json", n=n, rate=rate)
+        assert run_command([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and "range error" not in err
 
 
 class TestCurves:
@@ -274,6 +336,50 @@ class TestCurvesEquivalence:
                     one.rho_star,
                     one.boundary_flag,
                 )
+
+
+# (EQUIVALENCE_CASES key, n, rate, delta); rate 0 is a single codeword.
+EXACT_JSON_CASES = [
+    ("bsc0.1", 6, 0.3, 0.05),
+    ("ternary0.8", 4, 0.25, 0.1),
+    ("unreachable_output", 4, 0.2, 0.0),
+    ("q_zero_letter", 4, 0.3, 0.05),
+    ("bsc0.1", 5, 0.0, 0.1),
+    ("ternary0.8", 4, 0.25, math.inf),
+]
+
+
+@pytest.mark.parametrize("case,n,rate,delta", EXACT_JSON_CASES)
+def test_exact_json_matches_json_dump(tmp_path, case, n, rate, delta):
+    rows, q0 = EQUIVALENCE_CASES[case]
+    report = exact_finite_n(n, rate, delta, Distribution(np.array(q0)), Channel(np.array(rows)))
+    table = report.per_type_breakdown
+    obj = {
+        "n": report.n,
+        "m": report.m,
+        "p_error": report.p_error,
+        "p_correct_strict": report.p_correct_strict,
+        "p_feedback1": report.p_feedback1,
+        "per_type_breakdown": [
+            {
+                "counts": table.counts[k].tolist(),
+                "probability": float(table.probability[k]),
+                "p_fail_strict": float(table.p_fail_strict[k]),
+                "p_correct_strict": float(table.p_correct_strict[k]),
+                "p_feedback1": float(table.p_feedback1[k]),
+            }
+            for k in range(len(table))
+        ],
+    }
+    assert _exact_json(report) == json.dumps(obj, indent=2, sort_keys=True)
+    if delta < math.inf:  # a config cannot hold an infinite delta
+        cfg = write_config(tmp_path / "c.json", channel={"rows": rows}, q0=q0, n=n, rate=rate, delta=delta)
+        out = tmp_path / "out"
+        assert run_command(["exact", "--config", cfg, "--out-dir", str(out)]) == 0
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert (out / "exact.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 class TestOtherCommands:

@@ -9,8 +9,10 @@ from nts.itcore import (
     JointDistribution,
     ResourceLimitError,
     TypeWithDenominator,
+    MAX_LOG_CODEBOOK,
     codebook_size,
     compositions_array,
+    compositions_iter,
     empirical_joint_type,
     enumerate_joint_types,
     kl_joint,
@@ -180,6 +182,15 @@ class TestEnumeration:
         assert len(np.unique(arr, axis=0)) == arr.shape[0]
 
 
+@pytest.mark.parametrize(
+    "total,parts", [(t, k) for t in range(13) for k in range(1, 7)] + [(12, 9), (0, 3)]
+)
+def test_compositions_array_equals_iter(total, parts):
+    arr = compositions_array(total, parts)
+    assert arr.dtype == np.int64
+    assert np.array_equal(arr, np.array(list(compositions_iter(total, parts)), dtype=np.int64))
+
+
 class TestCodebookSize:
     def test_snaps_log_integer_rates(self):
         assert codebook_size(2, math.log(3) / 2) == 3
@@ -188,3 +199,10 @@ class TestCodebookSize:
     def test_plain_ceiling(self):
         assert codebook_size(1, 0.0) == 1
         assert codebook_size(2, 0.5) == 3  # e^1 = 2.718 -> 3
+
+    def test_beyond_float_range_names_cap(self):
+        assert codebook_size(1, 709.0) == math.ceil(math.exp(709.0))
+        for n, rate in ((100_000, 0.45), (20_000, 0.5), (1, MAX_LOG_CODEBOOK + 1e-9)):
+            with pytest.raises(ResourceLimitError) as err:
+                codebook_size(n, rate)
+            assert "exceeds the cap" in str(err.value)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from nts.itcore import Channel, Distribution, ResourceLimitError, TIE_TOL
+from scipy.special import gammaln
+
+from nts.itcore import Channel, Distribution, ResourceLimitError, TIE_TOL, codebook_size, compositions_iter
 from nts.exponents import correct_exponent_ml, error_exponent, tilted_joint
 from nts.oracle import (
     ImplicitKind,
@@ -128,12 +130,121 @@ class TestExactFiniteN:
 
     def test_breakdown_probabilities_sum_to_one(self):
         rep = exact_finite_n(4, 0.3, 0.1, Distribution(np.array([0.7, 0.3])), BSC)
-        total = sum(r.probability for r in rep.per_type_breakdown)
+        total = float(rep.per_type_breakdown.probability.sum())
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_codebook_size_cap(self):
         with pytest.raises(ResourceLimitError):
             exact_finite_n(4, 6.0, 0.0, UNIF, BSC)
+
+
+    def test_blocklength_below_one_is_rejected(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                exact_finite_n(n, 0.3, 0.1, UNIF, BSC)
+
+
+def reference_exact(n, rate, delta, q, p):
+    """The exact analyzer as a scalar loop over joint types.
+
+    Per received type r it builds the same per-output arrays as the library
+    (compositions from ``compositions_iter``), then takes each joint type in
+    turn: its log-probability and metric summed output by output, one
+    threshold lookup in the competitor table per event, ``math.exp``, and
+    running sums.  Returns (m, p_error, p_correct, p_f1, rows) with rows
+    (counts, probability, p_fail, p_correct, p_f1)."""
+    m = codebook_size(n, rate)
+    ny, nx = p.num_outputs, p.num_inputs
+    qp = q.probs[None, :] * p.matrix.T
+    supp = q.support
+
+    def log_p_none(table, threshold):
+        if m - 1 <= 0:
+            return 0.0
+        j = int(np.searchsorted(-table.metrics, -(threshold - TIE_TOL), side="right"))
+        tail = table.suffix_logsum[j]
+        if tail == -np.inf:
+            return -np.inf
+        return float(m - 1) * float(tail)
+
+    p_error = p_correct = p_f1 = 0.0
+    rows = []
+    for r in compositions_iter(n, ny):
+        r = np.asarray(r, dtype=int)
+        table = competitor_class_table(r, q, n)
+        per_y = []
+        for y in range(ny):
+            allowed = supp[qp[y, supp] > 0]
+            if allowed.size == 0:
+                per_y.append((allowed, np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros(1)))
+                continue
+            comps = np.array(list(compositions_iter(int(r[y]), allowed.size)), dtype=np.int64)
+            logp = gammaln(r[y] + 1) - gammaln(comps + 1).sum(axis=1) + comps @ np.log(qp[y, allowed])
+            pos = comps > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                clogc = np.where(pos, comps * np.log(np.where(pos, comps, 1.0)), 0.0).sum(axis=1)
+            met = (clogc - r[y] * (math.log(r[y]) if r[y] > 0 else 0.0) - comps @ np.log(q.probs[allowed])) / n
+            per_y.append((allowed, comps, logp, met))
+        if any(allowed.size == 0 and r[y] > 0 for y, (allowed, *_) in enumerate(per_y)):
+            continue
+
+        picks = list(itertools.product(*(range(len(logp)) for _, _, logp, _ in per_y)))
+        logps, metrics = [], []
+        for pick in picks:
+            logp_k = met_k = 0.0
+            for (_, _, logp, met), i in zip(per_y, pick):
+                logp_k += logp[i]
+                met_k += met[i]
+            logps.append(logp_k + (gammaln(n + 1) - gammaln(r + 1).sum()))
+            metrics.append(met_k)
+        probs = np.exp(np.array(logps))
+        for pick, b0, prob in zip(picks, metrics, probs.tolist()):
+            p_corr = math.exp(log_p_none(table, float(b0)))
+            f1 = 0.0 if delta == math.inf else math.exp(log_p_none(table, float(b0) - delta))
+            p_correct += prob * p_corr
+            p_error += prob * (1.0 - p_corr)
+            p_f1 += prob * f1
+            counts = np.zeros((ny, nx), dtype=np.int64)
+            for y, ((allowed, comps, _, _), i) in enumerate(zip(per_y, pick)):
+                counts[y, allowed] = comps[i]
+            rows.append((counts, prob, 1.0 - p_corr, p_corr, f1))
+    return m, p_error, p_correct, p_f1, rows
+
+
+TERNARY = ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], [1 / 3, 1 / 3, 1 / 3])
+# (channel rows, q, n, rate, delta)
+EXACT_CASES = {
+    "bsc0.1": ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 6, 0.3, 0.05),
+    "ternary0.8": (*TERNARY, 4, 0.25, 0.1),
+    "zero_entry": ([[1.0, 0.0], [0.3, 0.7]], [0.4, 0.6], 6, 0.2, 0.02),
+    "q_zero_letter": ([[0.6, 0.3, 0.1], [0.25, 0.5, 0.25], [0.1, 0.2, 0.7]], [0.7, 0.0, 0.3], 4, 0.3, 0.05),
+    # Output 2 is reachable only from the letter Q omits.
+    "unreachable_output": ([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.1, 0.1, 0.8]], [0.6, 0.4, 0.0], 4, 0.2, 0.0),
+    "single_codeword": ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 5, 0.0, 0.1),
+    "delta_inf": (*TERNARY, 4, 0.25, math.inf),
+}
+
+
+def exact_case(case):
+    rows, q, n, rate, delta = EXACT_CASES[case]
+    return n, rate, delta, Distribution(np.array(q)), Channel(np.array(rows))
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_finite_n_equals_scalar_reference(case):
+    n, rate, delta, q, p = exact_case(case)
+    rep = exact_finite_n(n, rate, delta, q, p)
+    m, p_error, p_correct, p_f1, rows = reference_exact(n, rate, delta, q, p)
+    assert (rep.m, rep.p_error, rep.p_correct_strict, rep.p_feedback1) == (m, p_error, p_correct, p_f1)
+    table = rep.per_type_breakdown
+    assert len(table) == len(rows)
+    assert np.array_equal(table.counts, np.array([row[0] for row in rows]))
+    for column, values in zip(
+        (table.probability, table.p_fail_strict, table.p_correct_strict, table.p_feedback1),
+        list(zip(*rows))[1:],
+    ):
+        assert column.tolist() == list(values)
+    assert not table.counts.flags.writeable and not table.probability.flags.writeable
 
 
 class TestCompetitorTable:
