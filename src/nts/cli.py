@@ -182,9 +182,21 @@ def _write_csv(path: str, header: list, rows: list):
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None (JSON ``null``,
+    as the CSVs write ``NA``)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str, obj):
     with open(path, "w", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -26,7 +26,9 @@ from .itcore import (
     Channel,
     Distribution,
     JointDistribution,
+    guarded_log,
     kl_masses,
+    xlogx,
 )
 
 
@@ -90,15 +92,6 @@ class StrictDomainReport:
     rate: float
     r_plus: float
     reason: str = "rate exceeds r_plus; explicit formula does not apply to the strict minimum"
-
-
-def _safe_log(a) -> np.ndarray:
-    """Elementwise log with -inf at zero entries."""
-    a = np.asarray(a, dtype=float)
-    out = np.full(a.shape, -np.inf)
-    pos = a > 0
-    out[pos] = np.log(a[pos])
-    return out
 
 
 def _math_log(a: np.ndarray) -> np.ndarray:
@@ -179,7 +172,7 @@ def _tilted(rho: np.ndarray, logq: np.ndarray, logp: np.ndarray, probs: np.ndarr
 
 def _kernel_inputs(q: Distribution, p: Channel):
     """(logq, logp, probs) for ``_tilted`` at a single Q."""
-    return _safe_log(q.probs), _safe_log(p.matrix), q.probs
+    return guarded_log(q.probs, -np.inf), guarded_log(p.matrix, -np.inf), q.probs
 
 
 def e0(rho: float, q: Distribution, p: Channel) -> float:
@@ -455,17 +448,13 @@ def capacity(p: Channel, support=None, tol: float = 1e-9, max_iter: int = 100_00
     if s == 1:
         return 0.0
 
-    logsub = np.full_like(sub, 0.0)
-    pos = sub > 0
-    logsub[pos] = np.log(sub[pos])
-    self_info = (sub * logsub).sum(axis=1)  # sum_y P log P per input row
+    self_info = xlogx(sub).sum(axis=1)  # sum_y P log P per input row
 
     qvec = np.full(s, 1.0 / s)
     low = 0.0
     for _ in range(max_iter):
         r = qvec @ sub
-        logr = np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), 0.0)
-        div = self_info - sub @ logr  # D(P(.|x) || r) per row; zero-r outputs have P=0
+        div = self_info - sub @ guarded_log(r, 0.0)  # D(P(.|x) || r) per row; zero-r outputs have P=0
         c = np.exp(div)
         low = math.log(float(qvec @ c))
         up = float(div.max())

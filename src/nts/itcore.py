@@ -176,6 +176,20 @@ class TypeWithDenominator:
         return JointDistribution(self.counts / self.n)
 
 
+def guarded_log(a, off: float) -> np.ndarray:
+    """Elementwise log of the positive entries of ``a``, and ``off`` (0 or
+    -inf) at its zeros."""
+    a = np.asarray(a, dtype=float)
+    pos = a > 0
+    return np.where(pos, np.log(np.where(pos, a, 1.0)), off)
+
+
+def xlogx(a) -> np.ndarray:
+    """Elementwise ``a * log(a)`` with ``0 * log 0 = 0``."""
+    a = np.asarray(a, dtype=float)
+    return a * np.log(np.where(a > 0, a, 1.0))
+
+
 def kl_masses(a: np.ndarray, b: np.ndarray) -> float:
     """KL divergence between two non-negative mass arrays of equal shape.
 
@@ -280,9 +294,11 @@ def codebook_size(n: int, rate: float) -> int:
     """Codebook size ceil(e^{n*rate}), snapping rates of the form log(m)/n to m.
 
     Raises ``ResourceLimitError`` when e^{n*rate} is beyond the float range."""
-    if n * rate > MAX_LOG_CODEBOOK:
+    # n > cap / rate compares an int with a float exactly, for any size of n;
+    # n * rate would first convert n to a float, which overflows.
+    if rate > 0 and n > MAX_LOG_CODEBOOK / rate:
         raise ResourceLimitError(
-            f"codebook size e^(n*rate) = e^{n * rate:.6g} exceeds the cap "
+            f"codebook size e^(n*rate) at rate {rate!r} exceeds the cap "
             f"e^{MAX_LOG_CODEBOOK:.6g} of a float"
         )
     v = math.exp(n * rate)

@@ -28,9 +28,11 @@ from .itcore import (
     codebook_size,
     compositions_array,
     compositions_iter,
+    guarded_log,
     num_compositions,
+    xlogx,
 )
-from .exponents import _log_partition, _math_log, _safe_log, capacity
+from .exponents import _log_partition, _math_log, capacity
 
 # Coarse-sweep budget: the largest type denominator whose composition count
 # fits this cap is used; the descent refinement supplies final precision.
@@ -48,6 +50,48 @@ class ImplicitKind(Enum):
 
 
 # ---------------------------------------------------------------------------
+# decoder metrics
+# ---------------------------------------------------------------------------
+
+
+def decode_metric(counts, n: int, q: Distribution):
+    """D(ToV || TxQ) of joint count matrices ``counts[..., y, x]`` with total
+    ``n``: the decoder's metric average, +inf where counts sit off supp(Q).
+
+    One (|Y|, |X|) matrix gives a float, a batch (..., |Y|, |X|) an array of
+    the batch shape; masses with ``n = 1`` give the divergence itself.
+    """
+    c = np.asarray(counts, dtype=float)
+    vals = (
+        xlogx(c).sum(axis=(-2, -1))
+        - xlogx(c.sum(axis=-1)).sum(axis=-1)
+        - (c * guarded_log(q.probs, 0.0)).sum(axis=(-2, -1))
+    ) / n
+    vals = np.where(c[..., q.probs == 0].any(axis=(-2, -1)), np.inf, vals)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _output_metrics(comps: np.ndarray, ry, logq: np.ndarray, n: int) -> np.ndarray:
+    """One output's share of ``decode_metric``: (sum_x c log c - r_y log r_y
+    - c . log Q) / n for each row c of ``comps`` (k, s), a composition of
+    ``ry`` over the letters whose log Q is ``logq`` (s,).
+
+    Summed over the outputs it is the decode metric up to rounding.  The
+    competitor class tables and the exact analyzer both take their metrics
+    from here, so their ties resolve alike."""
+    return (xlogx(comps).sum(axis=1) - ry * (math.log(ry) if ry > 0 else 0.0) - comps @ logq) / n
+
+
+def loglik_metric(counts, n: int, logp: np.ndarray):
+    """The ML decoder's metric average (1/n) sum_{y,x} counts[..., y, x] log
+    P(y|x) of joint count matrices, with ``logp[y, x] = log P(y|x)`` (-inf
+    where P is zero): -inf where counts sit on a zero of P."""
+    with np.errstate(invalid="ignore"):
+        cells = np.where(counts > 0, counts * logp, 0.0)
+    return cells.sum(axis=(-2, -1)) / n
+
+
+# ---------------------------------------------------------------------------
 # implicit exponents: grid over joint types + local refinement
 # ---------------------------------------------------------------------------
 
@@ -57,8 +101,13 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     n = v.size
     a = -np.sort(-v)
     cum = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    k = np.nonzero(a > cum)[0][-1]
-    return np.maximum(v - cum[k], 0.0)
+    above = np.nonzero(a > cum)[0]
+    if above.size == 0:
+        # Entries spanning a huge range can round a[0] - 1 to a[0], leaving no
+        # index.  Adding a constant to every entry does not move the
+        # projection, and after this shift a[0] = 0 > cum[0] = -1.
+        return project_simplex(v - v.max())
+    return np.maximum(v - cum[above[-1]], 0.0)
 
 
 def _golden_min(fun, lo: float, hi: float, iters: int = 44):
@@ -138,32 +187,16 @@ def _batch_terms(masses: np.ndarray, q: Distribution, p: Channel):
     Rows placing mass outside supp(Q o P) get D = +inf; the metric term is
     +inf only where mass sits outside supp(Q) (a subset of the former)."""
     qp = q.probs[None, :] * p.matrix.T  # (ny, nx)
-    logqp = np.where(qp > 0, np.log(np.where(qp > 0, qp, 1.0)), 0.0)
-    logq = np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), 0.0)
-
-    m = masses
-    pos = m > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mlogm = np.where(pos, m * np.log(np.where(pos, m, 1.0)), 0.0).sum(axis=(1, 2))
-    t = m.sum(axis=2)
-    tpos = t > 0
-    tlogt = np.where(tpos, t * np.log(np.where(tpos, t, 1.0)), 0.0).sum(axis=1)
-
-    bad_qp = (pos & (qp[None] == 0)).any(axis=(1, 2))
-    bad_q = (pos & (q.probs[None, None, :] == 0)).any(axis=(1, 2))
-
-    d = mlogm - (m * logqp[None]).sum(axis=(1, 2))
-    d[bad_qp] = np.inf
-    metric = mlogm - tlogt - (m * logq[None, None, :]).sum(axis=(1, 2))
-    metric[bad_q] = np.inf
-    return d, metric
+    d = xlogx(masses).sum(axis=(1, 2)) - (masses * guarded_log(qp, 0.0)).sum(axis=(1, 2))
+    d[masses[:, qp == 0].any(axis=1)] = np.inf
+    return d, decode_metric(masses, 1, q)
 
 
 def _scalar_objective(kind: ImplicitKind, rate: float, q: Distribution, p: Channel):
     """(value, subgradient) callable for one flattened joint mass vector."""
     qp = q.probs[None, :] * p.matrix.T
-    logqp = np.where(qp > 0, np.log(np.where(qp > 0, qp, 1.0)), 0.0)
-    logq = np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), 0.0)
+    logqp = guarded_log(qp, 0.0)
+    logq = guarded_log(q.probs, 0.0)
     qp_zero = qp == 0
     ny, nx = qp.shape
     floor = 1e-300
@@ -308,20 +341,14 @@ def _cc_terms(w_batch: np.ndarray, q: Distribution, p: Channel):
     supp = q.support
     qs = q.probs[supp]
     psub = p.matrix[supp]
-    logp = np.where(psub > 0, np.log(np.where(psub > 0, psub, 1.0)), 0.0)
 
     w = w_batch
-    pos = w > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wlogw = np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)
-    bad = (pos & (psub[None] == 0)).any(axis=(1, 2))
-    d = (qs[None, :, None] * (wlogw - w * logp[None])).sum(axis=(1, 2))
-    d[bad] = np.inf
+    wlogw = xlogx(w)
+    d = (qs[None, :, None] * (wlogw - w * guarded_log(psub, 0.0)[None])).sum(axis=(1, 2))
+    d[((w > 0) & (psub[None] == 0)).any(axis=(1, 2))] = np.inf
 
     r = (qs[None, :, None] * w).sum(axis=1)  # (N, ny)
-    rpos = r > 0
-    rlogr = np.where(rpos, r * np.log(np.where(rpos, r, 1.0)), 0.0).sum(axis=1)
-    mi = (qs[None, :, None] * wlogw).sum(axis=(1, 2)) - rlogr
+    mi = (qs[None, :, None] * wlogw).sum(axis=(1, 2)) - xlogx(r).sum(axis=1)
     return d, mi
 
 
@@ -475,6 +502,8 @@ def competitor_class_table(
     s = supp.size
     qs = q.probs[supp]
     logq = np.log(qs)
+    if metric_channel is not None:
+        logch = guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
 
     count = 1
     for ry in r:
@@ -490,16 +519,9 @@ def competitor_class_table(
         comps = compositions_array(ry, s)  # (k, s)
         logp = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logq
         if metric_channel is not None:
-            ch = metric_channel.matrix[supp, y]
-            logch = np.where(ch > 0, np.log(np.where(ch > 0, ch, 1.0)), -np.inf)
-            with np.errstate(invalid="ignore"):
-                terms = np.where(comps > 0, comps * logch[None, :], 0.0)
-            met = terms.sum(axis=1) / n
+            met = loglik_metric(comps[:, None, :], n, logch[y : y + 1])
         else:
-            pos = comps > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                clogc = np.where(pos, comps * np.log(np.where(pos, comps, 1.0)), 0.0).sum(axis=1)
-            met = (clogc - comps.sum(axis=1) * (math.log(ry) if ry > 0 else 0.0) - comps @ logq) / n
+            met = _output_metrics(comps, ry, logq, n)
         per_logp.append(logp)
         per_metric.append(met)
         per_comps.append(comps)
@@ -520,19 +542,6 @@ def competitor_class_table(
     return CompetitorClassTable(
         metrics=metrics, log_probs=log_probs, suffix_logsum=suffix, counts=counts, n=n
     )
-
-
-def decode_metric(counts: np.ndarray, n: int, q: Distribution) -> float:
-    """D(ToV || TxQ) of a joint count matrix: the decoder's metric average."""
-    c = np.asarray(counts, dtype=float)
-    r = c.sum(axis=1)
-    pos = c > 0
-    if np.any(pos & (q.probs[None, :] == 0)):
-        return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        clogc = np.where(pos, c * np.log(np.where(pos, c, 1.0)), 0.0).sum()
-        rlogr = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0).sum()
-    return float((clogc - rlogr - (c * np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), 0.0)[None, :]).sum()) / n)
 
 
 @dataclass(frozen=True)
@@ -632,13 +641,8 @@ def exact_finite_n(
                 met = np.zeros(1)
             else:
                 comps = compositions_array(int(r[y]), allowed.size)
-                logqp_y = np.log(qp[y, allowed])
-                logp = gammaln(r[y] + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logqp_y
-                pos = comps > 0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    clogc = np.where(pos, comps * np.log(np.where(pos, comps, 1.0)), 0.0).sum(axis=1)
-                logq_y = np.log(q.probs[allowed])
-                met = (clogc - r[y] * (math.log(r[y]) if r[y] > 0 else 0.0) - comps @ logq_y) / n
+                logp = gammaln(r[y] + 1) - gammaln(comps + 1).sum(axis=1) + comps @ np.log(qp[y, allowed])
+                met = _output_metrics(comps, r[y], np.log(q.probs[allowed]), n)
             per_logp.append(logp)
             per_metric.append(met)
             per_allowed.append(allowed)
@@ -700,12 +704,12 @@ class _SupportObjective:
     def __init__(self, rate: float, support: tuple, p: Channel):
         self.rate = rate
         self.sub = p.matrix[list(support)]  # (s, ny)
-        self.logsub = _safe_log(self.sub)
+        self.logsub = guarded_log(self.sub, -np.inf)
 
     def values_and_rhos(self, qsub: np.ndarray):
         """(value, rho*) arrays for a batch of Q rows ``qsub`` (B, s); each
         row follows the same golden-section sequence as it would alone."""
-        logq = _safe_log(qsub)
+        logq = guarded_log(qsub, -np.inf)
 
         def g(rho):
             return -_log_partition(rho, logq, self.logsub)[-1] - rho * self.rate
@@ -740,17 +744,26 @@ class _SupportObjective:
         val, rho = self.values_and_rhos(qsub[None, :])
         return float(val[0]), float(rho[0])
 
-    def gradient(self, qsub: np.ndarray, rho: float) -> np.ndarray:
-        if rho <= -1 + 1e-9 or rho >= -1e-12:
-            # E0(-1, .) depends on Q only through its support; at rho = 0 the
-            # value is identically zero.
-            return np.zeros(qsub.size)
-        gamma = 1.0 / (1.0 + rho)
-        u = np.where(self.sub > 0, self.sub**gamma, 0.0)
-        svec = qsub @ u
-        pos = svec > 0
-        z = float((svec[pos] ** (1.0 + rho)).sum())
-        return -(1.0 + rho) * (u[:, pos] @ (svec[pos] ** rho)) / z
+    def gradients(self, qsub: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Gradients in Q of E0(rho[b], .) at the rows ``qsub[b]`` (B, s):
+        -(1 + rho) sum_y exp(gamma log P(y|x) + rho li_y - log_z) over the
+        outputs reachable from supp(Q), with ``li``, ``log_z`` and gamma =
+        1/(1+rho) from the tilted kernel.
+
+        Zero at rho = -1, where E0 depends on Q only through its support, and
+        at rho = 0, where E0 vanishes identically."""
+        grad = np.zeros(qsub.shape)
+        inner = (rho > -1 + 1e-9) & (rho < -1e-12)
+        if inner.any():
+            r = rho[inner]
+            _, li, reachable, _, log_z = _log_partition(r, guarded_log(qsub[inner], -np.inf), self.logsub)
+            # Unreachable outputs (li = -inf) are masked out; the terms of
+            # letters off supp(Q) may overflow to +inf.
+            with np.errstate(invalid="ignore", over="ignore"):
+                expo = (1.0 / (1.0 + r))[:, None, None] * self.logsub + (r[:, None] * li - log_z[:, None])[:, None, :]
+                cells = np.where(reachable[:, None, :], np.exp(expo), 0.0)
+            grad[inner] = -(1.0 + r)[:, None] * cells.sum(axis=2)
+        return grad
 
 
 def _minimize_over_support(rate: float, support: tuple, p: Channel, resolution: int) -> float:
@@ -776,27 +789,21 @@ def _minimize_over_support(rate: float, support: tuple, p: Channel, resolution: 
     # round, each following the same steps as it would alone.
     x = np.array([project_simplex(np.asarray(x0)) for x0 in starts])
     fx, rho = obj.values_and_rhos(x)
-    g = np.array([obj.gradient(xi, r) for xi, r in zip(x, rho)])
+    g = obj.gradients(x, rho)
     step = np.full(len(starts), 0.5)
     moves = np.zeros(len(starts), dtype=int)
-    live = list(range(len(starts)))
-    while live:
-        cand = np.array([project_simplex(x[i] - step[i] * g[i]) for i in live])
+    live = np.arange(len(starts))
+    while live.size:
+        cand = np.array([project_simplex(v) for v in x[live] - step[live, None] * g[live]])
         fc, rho_c = obj.values_and_rhos(cand)
-        still = []
-        for k, i in enumerate(live):
-            if fc[k] < fx[i] - 1e-12:
-                x[i], fx[i] = cand[k], fc[k]
-                g[i] = obj.gradient(x[i], rho_c[k])
-                step[i] = min(step[i] * 1.5, 2.0)
-                moves[i] += 1
-                if moves[i] < 120:
-                    still.append(i)
-            else:
-                step[i] *= 0.5
-                if step[i] > 1e-10:
-                    still.append(i)
-        live = still
+        better = fc < fx[live] - 1e-12
+        moved, failed = live[better], live[~better]
+        x[moved], fx[moved] = cand[better], fc[better]
+        g[moved] = obj.gradients(cand[better], rho_c[better])
+        step[moved] = np.minimum(step[moved] * 1.5, 2.0)
+        moves[moved] += 1
+        step[failed] *= 0.5
+        live = np.sort(np.concatenate((moved[moves[moved] < 120], failed[step[failed] > 1e-10])))
     best = math.inf
     for f in fx.tolist():
         best = min(best, f)

@@ -28,6 +28,7 @@ from .itcore import (
     TypeWithDenominator,
     codebook_size,
     empirical_joint_type,
+    guarded_log,
 )
 from .exponents import (
     StrictDomainReport,
@@ -35,7 +36,7 @@ from .exponents import (
     correct_exponent_strict,
     error_exponent,
 )
-from .oracle import CompetitorClassTable, competitor_class_table, decode_metric
+from .oracle import CompetitorClassTable, competitor_class_table, decode_metric, loglik_metric
 
 
 class Scheme(Enum):
@@ -131,34 +132,14 @@ def _transmit(x: np.ndarray, p: Channel, rng: np.random.Generator) -> np.ndarray
     return (u[:, None] > cdf[x]).sum(axis=1).astype(np.int64)
 
 
-def _codeword_metrics(codebook: np.ndarray, y: np.ndarray, q: Distribution, ny: int) -> np.ndarray:
-    """Decode metric D(ToV_m || TxQ) for every codeword, vectorized."""
-    m, n = codebook.shape
-    nx = len(q)
+def _codeword_counts(books: np.ndarray, y: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Joint type counts (..., M, |Y|, |X|) of every codeword of ``books``
+    (..., M, n) with its received word ``y`` (..., n), in one bincount."""
+    lead = books.shape[:-1]
     cells = ny * nx
-    flat = np.bincount(
-        (np.arange(m)[:, None] * cells + y[None, :] * nx + codebook).ravel(),
-        minlength=m * cells,
-    ).reshape(m, ny, nx)
-    r = np.bincount(y, minlength=ny).astype(float)
-    rlogr = float(np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0).sum())
-
-    c = flat.astype(float)
-    pos = c > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        clogc = np.where(pos, c * np.log(np.where(pos, c, 1.0)), 0.0).sum(axis=(1, 2))
-    logq = np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), 0.0)
-    vals = (clogc - rlogr - (c * logq[None, None, :]).sum(axis=(1, 2))) / n
-    outside = (pos & (q.probs[None, None, :] == 0)).any(axis=(1, 2))
-    vals[outside] = math.inf
-    return vals
-
-
-def _ml_metrics(codebook: np.ndarray, y: np.ndarray, p: Channel) -> np.ndarray:
-    logp = np.where(p.matrix > 0, np.log(np.where(p.matrix > 0, p.matrix, 1.0)), -np.inf)
-    with np.errstate(invalid="ignore"):
-        vals = logp[codebook, y[None, :]].sum(axis=1) / codebook.shape[1]
-    return vals
+    offs = np.arange(math.prod(lead)).reshape(lead)[..., None] * cells
+    flat = np.bincount((offs + y[..., None, :] * nx + books).ravel(), minlength=math.prod(lead) * cells)
+    return flat.reshape(*lead, ny, nx)
 
 
 @dataclass(frozen=True)
@@ -176,9 +157,8 @@ def natural_decode(codebook: np.ndarray, y: np.ndarray, q: Distribution, delta: 
     codebook wins vacuously with feedback 1 (unless delta is the +inf
     sentinel, which always forces feedback 0).
     """
-    ny = int(y.max()) + 1
-    metrics = _codeword_metrics(codebook, y, q, ny)
-    return _pick_winner(metrics, delta)
+    counts = _codeword_counts(codebook, y, len(q), int(y.max()) + 1)
+    return _pick_winner(decode_metric(counts, codebook.shape[1], q), delta)
 
 
 def _pick_winner(metrics: np.ndarray, delta: float) -> DecodeOutcome:
@@ -281,9 +261,7 @@ def _virtual_block(
     if use_ml_decoder:
         # Classes are ordered by the ML metric; the sent word competes with its
         # own ML metric, but feedback always uses the natural metric.
-        with np.errstate(invalid="ignore"):
-            cells = np.where(jt.counts > 0, jt.counts * _logp_cells(p), 0.0)
-        b0_decode = float(cells.sum() / n)
+        b0_decode = float(loglik_metric(jt.counts, n, guarded_log(p.matrix.T, -np.inf)))
     else:
         b0_decode = b0
 
@@ -345,10 +323,6 @@ def _virtual_block(
     )
 
 
-def _logp_cells(p: Channel) -> np.ndarray:
-    return np.where(p.matrix > 0, np.log(np.where(p.matrix > 0, p.matrix, 1.0)), -np.inf).T
-
-
 def _erasure_outcome(jt: TypeWithDenominator, q: Distribution, b0: float):
     return BlockOutcome(
         decoded=None,
@@ -379,15 +353,14 @@ def _literal_block(
     y = _transmit(codebook[sent], p, rng)
     jt = empirical_joint_type(codebook[sent], y, nx, ny)
 
+    counts = _codeword_counts(codebook, y, nx, ny)
+    nat = decode_metric(counts, n, q)
     if use_ml_decoder:
-        dec_metrics = _ml_metrics(codebook, y, p)
-        dec = _pick_winner(dec_metrics, delta)
-        nat = _codeword_metrics(codebook, y, q, ny)
+        dec = _pick_winner(loglik_metric(counts, n, guarded_log(p.matrix.T, -np.inf)), delta)
         winner_metric = float(nat[dec.decoded]) if dec.decoded is not None else float(nat.max())
         runner_up = dec.runner_up_metric
         fb_margin = 0
     else:
-        nat = _codeword_metrics(codebook, y, q, ny)
         dec = _pick_winner(nat, delta)
         winner_metric = dec.winner_metric
         runner_up = dec.runner_up_metric
@@ -397,9 +370,7 @@ def _literal_block(
         feedback = threshold_decide(winner_metric, rate, delta) if dec.decoded is not None else 0
     else:
         feedback = fb_margin
-    winner_counts = None
-    if dec.decoded is not None:
-        winner_counts = empirical_joint_type(codebook[dec.decoded], y, nx, ny).counts
+    winner_counts = counts[dec.decoded] if dec.decoded is not None else None
     return (
         BlockOutcome(
             decoded=dec.decoded,
@@ -575,7 +546,6 @@ def fixed_q_event_counts(
         raise ResourceLimitError("trial batch too large")
     rng = np.random.default_rng(seed)
     nx, ny = p.num_inputs, p.num_outputs
-    cells = ny * nx
 
     books = _draw_iid(q.probs, trials * m * n, rng).reshape(trials, m, n)
     sent = books[:, 0, :]  # message index is immaterial by symmetry
@@ -583,17 +553,7 @@ def fixed_q_event_counts(
     cdf = np.cumsum(p.matrix, axis=1)
     y = (u[:, :, None] > cdf[sent]).sum(axis=2)
 
-    # metrics per (trial, codeword)
-    base = y[:, None, :] * nx + books  # (trials, m, n)
-    offs = (np.arange(trials)[:, None, None] * m + np.arange(m)[None, :, None]) * cells
-    flat = np.bincount((base + offs).ravel(), minlength=trials * m * cells)
-    c = flat.reshape(trials, m, ny, nx).astype(float)
-    r = c[:, 0].sum(axis=2)  # (trials, ny), same for all codewords
-    rlogr = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0).sum(axis=1)
-    pos = c > 0
-    clogc = np.where(pos, c * np.log(np.where(pos, c, 1.0)), 0.0).sum(axis=(2, 3))
-    logq = np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), 0.0)
-    mets = (clogc - rlogr[:, None] - (c * logq[None, None, None, :]).sum(axis=(2, 3))) / n
+    mets = decode_metric(_codeword_counts(books, y, nx, ny), n, q)  # (trials, m)
 
     b0 = mets[:, 0]
     comp = mets[:, 1:] if m > 1 else np.full((trials, 1), -math.inf)

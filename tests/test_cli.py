@@ -182,7 +182,10 @@ class TestScalarParams:
 class TestCodebookCap:
     """A codebook size e^{n*rate} beyond the float range exits 4 naming the cap."""
 
-    @pytest.mark.parametrize("command,n,rate", [("exact", 100_000, 0.45), ("simulate", 20_000, 0.5)])
+    @pytest.mark.parametrize(
+        "command,n,rate",
+        [("exact", 100_000, 0.45), ("simulate", 20_000, 0.5), ("exact", 10**400, 0.3), ("simulate", 10**400, 0.3)],
+    )
     def test_exits_4_naming_cap(self, tmp_path, capsys, command, n, rate):
         cfg = write_config(tmp_path / "c.json", n=n, rate=rate)
         assert run_command([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 4
@@ -392,6 +395,51 @@ class TestOtherCommands:
         assert summary["final_exponent"] < 1e-6
         lines = (out / "iterate_rate.csv").read_text().splitlines()
         assert lines[0] == "l,exponent,kl_next_prev,rho_hat,q0,q1"
+
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        # At rate 0 no support qualifies, so check_lower_than.rhs is +inf.
+        cfg = write_config(tmp_path / "c.json", rate=0)
+        out = tmp_path / "out"
+        assert run_command(["iterate-rate", "--config", cfg, "--out-dir", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
+        summary = json.loads((out / "iterate_rate_summary.json").read_text())
+        assert summary["check_lower_than"]["rhs"] is None
+
+    # 3x3 channels with a zero entry on which the support descent of
+    # check_lower_than overflowed its gradient and then found no simplex
+    # projection index (an IndexError traceback).
+    @pytest.mark.parametrize(
+        "rate,rows",
+        [
+            (
+                0.5,
+                [
+                    [0.13481969367365867, 0.013862007502046126, 0.8513182988242952],
+                    [0.14767502654507272, 0.0, 0.8523249734549273],
+                    [0.011391648778099629, 0.11913876710311762, 0.8694695841187827],
+                ],
+            ),
+            (
+                0.8,
+                [
+                    [0.2195076292139752, 0.6644309577858329, 0.11606141300019189],
+                    [0.0, 0.5471888380660385, 0.4528111619339615],
+                    [0.902547224469407, 0.05407334917522416, 0.04337942635536888],
+                ],
+            ),
+        ],
+    )
+    def test_iterate_rate_check_on_zero_entry_channels(self, tmp_path, rate, rows):
+        cfg = write_config(tmp_path / "c.json", channel={"rows": rows}, q0=[1 / 3] * 3, rate=rate)
+        out = tmp_path / "out"
+        assert run_command(["iterate-rate", "--config", cfg, "--out-dir", str(out)]) == 0
+        rhs = json.loads((out / "iterate_rate_summary.json").read_text())["check_lower_than"]["rhs"]
+        assert rhs is not None and math.isfinite(rhs)
 
     def test_iterate_slope_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -202,7 +202,7 @@ class TestCodebookSize:
 
     def test_beyond_float_range_names_cap(self):
         assert codebook_size(1, 709.0) == math.ceil(math.exp(709.0))
-        for n, rate in ((100_000, 0.45), (20_000, 0.5), (1, MAX_LOG_CODEBOOK + 1e-9)):
+        for n, rate in ((100_000, 0.45), (20_000, 0.5), (1, MAX_LOG_CODEBOOK + 1e-9), (10**400, 0.3)):
             with pytest.raises(ResourceLimitError) as err:
                 codebook_size(n, rate)
             assert "exceeds the cap" in str(err.value)

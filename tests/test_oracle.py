@@ -3,13 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.special import gammaln
 
-from nts.itcore import Channel, Distribution, ResourceLimitError, TIE_TOL, codebook_size, compositions_iter
-from nts.exponents import correct_exponent_ml, error_exponent, tilted_joint
+from nts.itcore import (
+    Channel,
+    Distribution,
+    ResourceLimitError,
+    TIE_TOL,
+    codebook_size,
+    compositions_iter,
+    guarded_log,
+)
+from nts.exponents import _log_partition, correct_exponent_ml, error_exponent, tilted_joint
 from nts.oracle import (
     ImplicitKind,
+    _SupportObjective,
+    _output_metrics,
     cc_bound,
     competitor_class_table,
     decode_metric,
@@ -320,3 +331,69 @@ class TestProjectSimplex:
     def test_fixed_point_inside(self):
         x = np.array([0.2, 0.3, 0.5])
         assert np.allclose(project_simplex(x), x, atol=1e-12)
+
+    def test_entries_beyond_float_resolution(self):
+        # a[0] - 1 rounds to a[0], so the sort-based rule finds no index.
+        x = project_simplex(np.array([1e17, -1e17, 0.0]))
+        assert np.array_equal(x, [1.0, 0.0, 0.0])
+
+
+class TestSupportGradient:
+    def test_matches_central_differences_of_e0(self):
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        for case in range(20):
+            rows = rng.dirichlet(np.ones(3), size=3)
+            if case % 2:
+                rows[rng.integers(3), rng.integers(3)] = 0.0
+                rows /= rows.sum(axis=1, keepdims=True)
+            p = Channel(rows)
+            qs = rng.dirichlet(np.ones(3), size=4)
+            rhos = rng.uniform(-0.9, -0.1, size=4)
+            grad = _SupportObjective(0.3, (0, 1, 2), p).gradients(qs, rhos)
+            logp = guarded_log(p.matrix, -np.inf)
+            for q, rho, g in zip(qs, rhos, grad):
+                def e0(v):
+                    return -_log_partition(np.array([rho]), np.log(v), logp)[-1][0]
+
+                fd = [(e0(q + h * e) - e0(q - h * e)) / (2 * h) for e in np.eye(3)]
+                assert g == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_zero_at_the_rho_edges(self):
+        qs = np.array([[0.3, 0.7], [0.5, 0.5]])
+        grad = _SupportObjective(0.3, (0, 1), BSC).gradients(qs, np.array([-1.0, 0.0]))
+        assert np.array_equal(grad, np.zeros((2, 2)))
+
+
+@st.composite
+def counts_batch_and_q(draw):
+    """A batch of 1-4 joint count matrices (2x2 to 3x3) with a common total n,
+    and a Q that may have zero letters."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    q = np.array(draw(st.lists(st.integers(0, 4), min_size=nx, max_size=nx).filter(any)), dtype=float)
+    n = draw(st.integers(1, 9))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=nx * ny - 1, max_size=nx * ny - 1)))
+        batch.append(np.diff([0, *cuts, n]).reshape(ny, nx))
+    return np.array(batch, dtype=np.int64), n, Distribution(q / q.sum())
+
+
+class TestDecodeMetric:
+    @settings(max_examples=150, deadline=None)
+    @given(counts_batch_and_q())
+    def test_batch_per_output_and_support(self, case):
+        counts, n, q = case
+        vals = decode_metric(counts, n, q)
+        assert vals.shape == (counts.shape[0],)
+        supp = q.support
+        off = ((counts > 0) & (q.probs == 0)).any(axis=(1, 2))
+        assert np.array_equal(np.isinf(vals), off)
+        for c, v in zip(counts, vals):
+            assert decode_metric(c, n, q) == v
+            if np.isfinite(v):
+                assert v >= -1e-15
+                per_output = sum(
+                    float(_output_metrics(row[None, supp], int(row.sum()), np.log(q.probs[supp]), n)[0]) for row in c
+                )
+                assert per_output == pytest.approx(v, abs=1e-12)
