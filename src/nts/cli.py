@@ -46,6 +46,9 @@ _SCALAR_PARAMS = {
     "delta": ("a finite number", 0),
     "rho": ("a finite number", None),
 }
+# Values of optional parameters, per command; the commands and the run
+# manifest both read the params with these filled in.
+_DEFAULTS = {"simulate": {"delta": 0.0, "seed": 0}, "exact": {"delta": 0.0}}
 
 
 class ConfigError(Exception):
@@ -328,7 +331,7 @@ def _cmd_oracle(channel: Channel, q0: Distribution, params: dict, out_dir: str) 
 def _cmd_exact(channel: Channel, q0: Distribution, params: dict, out_dir: str) -> list:
     n = int(_need(params, "n", "exact"))
     rate = float(_need(params, "rate", "exact"))
-    delta = float(params.get("delta", 0.0))
+    delta = float(params["delta"])
     report = exact_finite_n(n, rate, delta, q0, channel)
     path = os.path.join(out_dir, "exact.json")
     with open(path, "w", newline="") as fh:
@@ -377,8 +380,8 @@ def _cmd_simulate(channel: Channel, q0: Distribution, params: dict, out_dir: str
     n = int(_need(params, "n", "simulate"))
     rate = float(_need(params, "rate", "simulate"))
     blocks = int(_need(params, "blocks", "simulate"))
-    delta = float(params.get("delta", 0.0))
-    seed = int(params.get("seed", 0))
+    delta = float(params["delta"])
+    seed = int(params["seed"])
     config = SimConfig(
         n=n,
         rate=rate,
@@ -484,10 +487,9 @@ def run_command(argv) -> int:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
 
-    _defaults = {"simulate": {"delta": 0.0, "seed": 0}, "exact": {"delta": 0.0}}
+    resolved = {**_DEFAULTS.get(args.command, {}), **params}
     try:
-        outputs = _DISPATCH[args.command](channel, q0, params, args.out_dir)
-        resolved = {**_defaults.get(args.command, {}), **params}
+        outputs = _DISPATCH[args.command](channel, q0, resolved, args.out_dir)
         _emit_manifest(args.out_dir, args.command, resolved, resolved.get("seed"), outputs)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

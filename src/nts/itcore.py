@@ -294,14 +294,21 @@ def codebook_size(n: int, rate: float) -> int:
     """Codebook size ceil(e^{n*rate}), snapping rates of the form log(m)/n to m.
 
     Raises ``ResourceLimitError`` when e^{n*rate} is beyond the float range."""
-    # n > cap / rate compares an int with a float exactly, for any size of n;
-    # n * rate would first convert n to a float, which overflows.
-    if rate > 0 and n > MAX_LOG_CODEBOOK / rate:
+    try:
+        log_m = n * rate
+    except OverflowError:
+        # n is beyond the float range, yet the product may be small (rate 0,
+        # or a tiny rate): form it exactly.  Imported here, as no other path
+        # needs the module.
+        from fractions import Fraction
+
+        log_m = Fraction(n) * Fraction(rate) if math.isfinite(rate) else rate
+    if log_m > MAX_LOG_CODEBOOK:
         raise ResourceLimitError(
             f"codebook size e^(n*rate) at rate {rate!r} exceeds the cap "
             f"e^{MAX_LOG_CODEBOOK:.6g} of a float"
         )
-    v = math.exp(n * rate)
+    v = math.exp(log_m)
     nearest = round(v)
     if nearest >= 1 and abs(v - nearest) <= 1e-9 * max(v, 1.0):
         return nearest

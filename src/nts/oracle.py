@@ -147,33 +147,6 @@ def _pgd_on_simplex(fg, x0: np.ndarray, iters: int = 400):
     return x, fx
 
 
-def _refine_on_simplex(f, x0: np.ndarray, step_tol: float = 1e-8, max_sweeps: int = 40,
-                       bracket: float = 0.25):
-    """Cyclic coordinate descent: per coordinate, line-minimize along e_i with
-    simplex projection; stops when a full sweep moves less than step_tol."""
-    x = x0.copy()
-    fx = f(x)
-    for _ in range(max_sweeps):
-        moved = 0.0
-        f_start = fx
-        for i in range(x.size):
-            def along(t, i=i):
-                cand = x.copy()
-                cand[i] += t
-                return f(project_simplex(cand))
-
-            t, ft = _golden_min(along, -bracket, bracket)
-            if ft < fx:
-                cand = x.copy()
-                cand[i] += t
-                cand = project_simplex(cand)
-                moved = max(moved, float(np.abs(cand - x).sum()))
-                x, fx = cand, ft
-        if moved < step_tol and f_start - fx < 1e-12:
-            break
-    return x, fx
-
-
 def _effective_denominator(resolution: int, cells: int, grid_cap: int) -> int:
     d = resolution
     while d > 1 and num_compositions(d, cells) > grid_cap:
@@ -322,7 +295,7 @@ def _polish(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, x0: np
     fg = _scalar_objective(kind, rate, q, p)
     x, fx = _pgd_on_simplex(fg, x0)
     for _ in range(6):
-        x, f_cd = _refine_on_simplex(lambda v: fg(v)[0], x)
+        x, f_cd = _refine_rows(lambda v: fg(v)[0], x, x.size, bracket=0.25, max_sweeps=40)
         x, f_pgd = _pgd_on_simplex(fg, x)
         if fx - f_pgd < 1e-12:
             fx = min(fx, f_pgd)
@@ -408,8 +381,11 @@ def cc_bound(
     return float(value)
 
 
-def _refine_rows(f, x0: np.ndarray, row_len: int, step_tol: float = 1e-8, max_sweeps: int = 200):
-    """Coordinate descent over a stack of simplex rows (per-row projection)."""
+def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, step_tol: float = 1e-8,
+                 max_sweeps: int = 200):
+    """Cyclic coordinate descent over a stack of simplex rows: per coordinate,
+    line-minimize over [-bracket, bracket] with per-row projection; stops when
+    a full sweep moves less than step_tol."""
     x = x0.copy()
     fx = f(x)
     nrows = x.size // row_len
@@ -426,7 +402,7 @@ def _refine_rows(f, x0: np.ndarray, row_len: int, step_tol: float = 1e-8, max_sw
                     cand[sl] = project_simplex(row)
                     return f(cand)
 
-                t, ft = _golden_min(along, -1.0, 1.0)
+                t, ft = _golden_min(along, -bracket, bracket)
                 if ft < fx:
                     row = x[sl].copy()
                     row[i] += t

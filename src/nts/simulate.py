@@ -13,6 +13,7 @@ the top metric order statistics matter).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -158,24 +159,26 @@ def natural_decode(codebook: np.ndarray, y: np.ndarray, q: Distribution, delta: 
     sentinel, which always forces feedback 0).
     """
     counts = _codeword_counts(codebook, y, len(q), int(y.max()) + 1)
-    return _pick_winner(decode_metric(counts, codebook.shape[1], q), delta)
+    decoded, best, second = _pick_winner(decode_metric(counts, codebook.shape[1], q))
+    return DecodeOutcome(decoded, best, second, _margin_decide(decoded, best, second, delta))
 
 
-def _pick_winner(metrics: np.ndarray, delta: float) -> DecodeOutcome:
+def _pick_winner(metrics: np.ndarray):
+    """(unique argmax or None on a tie, top metric, runner-up metric); the
+    runner-up of a single codeword is -inf."""
     if metrics.size == 1:
-        fb = 0 if delta == math.inf else 1
-        return DecodeOutcome(0, float(metrics[0]), -math.inf, fb)
+        return 0, float(metrics[0]), -math.inf
     top2 = np.argpartition(-metrics, 1)[:2]
     if metrics[top2[0]] < metrics[top2[1]]:
         top2 = top2[::-1]
     best, second = float(metrics[top2[0]]), float(metrics[top2[1]])
-    win = best > second + TIE_TOL
-    decoded = int(top2[0]) if win else None
-    if delta == math.inf:
-        fb = 0
-    else:
-        fb = int(win and best - second > delta + TIE_TOL)
-    return DecodeOutcome(decoded, best, second, fb)
+    return (int(top2[0]) if best > second + TIE_TOL else None), best, second
+
+
+def _margin_decide(decoded: int | None, winner_metric: float, runner_up_metric: float, delta: float) -> int:
+    """Feedback bit of the margin scheme: 1 iff a codeword was decoded and its
+    metric beats the runner-up's by more than delta (never at delta = +inf)."""
+    return int(decoded is not None and delta != math.inf and winner_metric - runner_up_metric > delta + TIE_TOL)
 
 
 def threshold_decide(winner_metric: float, rate: float, delta: float) -> int:
@@ -185,7 +188,7 @@ def threshold_decide(winner_metric: float, rate: float, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single-block execution (literal and sampled paths)
+# single-block execution: a literal or a sampled decode, then the feedback bit
 # ---------------------------------------------------------------------------
 
 
@@ -224,165 +227,99 @@ def _top_class_is_tied(
     return rng.random() > p_single
 
 
+# Both block paths return the decode of one block as
+# (decoded, correct, winner_metric, runner_up_metric, joint_type, winner_counts):
+# decoded is None on an erasure, where both metrics are the sent word's natural
+# metric and winner_counts is None.  The metrics are natural ones except the
+# runner-up under the ML decoder, which stays in the decode (ML) domain.
+
+
 def _virtual_block(
-    q: Distribution,
-    p: Channel,
-    n: int,
-    rate: float,
-    delta: float,
-    m: int,
-    rng: np.random.Generator,
-    scheme: Scheme,
-    use_ml_decoder: bool,
-    table_cache: dict,
+    q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict
 ):
-    """Sample one block outcome without materializing the codebook.
+    """Sample the decode of one block without materializing the codebook.
 
     Equal in distribution to the literal fresh-codebook block: competitor
     conditional-type classes given the received word are enumerated exactly
     and the top metric order statistics are drawn by inverse CDF.
     """
-    nx, ny = p.num_inputs, p.num_outputs
+    n, ml = config.n, config.use_ml_decoder
     x = _draw_iid(q.probs, n, rng)
     y = _transmit(x, p, rng)
-    jt = empirical_joint_type(x, y, nx, ny)
+    jt = empirical_joint_type(x, y, p.num_inputs, p.num_outputs)
     r = tuple(int(v) for v in jt.counts.sum(axis=1))
     b0 = decode_metric(jt.counts, n, q)
 
-    key = (r, use_ml_decoder)
-    table = table_cache.get(key)
+    table = table_cache.get((r, ml))
     if table is None:
-        table = competitor_class_table(
-            np.asarray(r), q, n, metric_channel=p if use_ml_decoder else None
-        )
-        table_cache[key] = table
+        table = competitor_class_table(np.asarray(r), q, n, metric_channel=p if ml else None)
+        table_cache[(r, ml)] = table
     competitors = m - 1
-
-    if use_ml_decoder:
-        # Classes are ordered by the ML metric; the sent word competes with its
-        # own ML metric, but feedback always uses the natural metric.
-        b0_decode = float(loglik_metric(jt.counts, n, guarded_log(p.matrix.T, -np.inf)))
-    else:
-        b0_decode = b0
+    # Classes are ordered by the decode metric, so the sent word competes with
+    # its own decode metric (ML under the ML decoder).
+    b0_decode = float(loglik_metric(jt.counts, n, guarded_log(p.matrix.T, -np.inf))) if ml else b0
 
     jstar = _sample_max_class(table, competitors, rng)
     sent_index = int(rng.integers(0, min(m, 2**62)))
-
+    erasure = (None, False, b0, b0, jt, None)
     if jstar is None:
-        decoded, correct = sent_index, True
-        winner_metric, runner_up = b0, -math.inf
-        fb_margin = 0 if delta == math.inf else 1
-        winner_counts = jt.counts
-    else:
-        bmax = float(table.metrics[jstar])
-        if b0_decode > bmax + TIE_TOL:
-            decoded, correct = sent_index, True
-            winner_counts = jt.counts
-            if use_ml_decoder:
-                winner_metric, runner_up = b0, bmax  # runner-up in the decode (ML) domain
-                fb_margin = 0
-            else:
-                winner_metric, runner_up = b0, bmax
-                fb_margin = int(delta != math.inf and b0 - bmax > delta + TIE_TOL)
-        elif bmax > b0_decode + TIE_TOL:
-            if _top_class_is_tied(table, competitors, jstar, rng):
-                return _erasure_outcome(jt, q, b0), None
-            jsecond = _sample_max_class(table, competitors - 1, rng, start=jstar + 1)
-            second_best = table.metrics[jsecond] if jsecond is not None else -math.inf
-            runner_decode = max(b0_decode, float(second_best))
-            if not (bmax > runner_decode + TIE_TOL):
-                return _erasure_outcome(jt, q, b0), None
-            decoded = (sent_index + 1) % max(m, 2)
-            correct = False
-            winner_counts = table.counts[jstar]
-            if use_ml_decoder:
-                winner_metric = float(decode_metric(winner_counts, n, q))
-                runner_up = runner_decode
-                fb_margin = 0
-            else:
-                winner_metric, runner_up = bmax, runner_decode
-                fb_margin = int(delta != math.inf and bmax - runner_decode > delta + TIE_TOL)
-        else:
-            return _erasure_outcome(jt, q, b0), None
-
-    if scheme is Scheme.THRESHOLD:
-        feedback = threshold_decide(winner_metric, rate, delta)
-    else:
-        feedback = fb_margin
-    return (
-        BlockOutcome(
-            decoded=decoded,
-            correct=correct,
-            feedback=feedback,
-            winner_metric=winner_metric,
-            runner_up_metric=runner_up,
-            joint_type=jt,
-            q_next=q,  # replaced by the caller on feedback = 1
-        ),
-        winner_counts,
-    )
+        return sent_index, True, b0, -math.inf, jt, jt.counts
+    bmax = float(table.metrics[jstar])
+    if b0_decode > bmax + TIE_TOL:
+        return sent_index, True, b0, bmax, jt, jt.counts
+    if not bmax > b0_decode + TIE_TOL or _top_class_is_tied(table, competitors, jstar, rng):
+        return erasure
+    jsecond = _sample_max_class(table, competitors - 1, rng, start=jstar + 1)
+    second_best = table.metrics[jsecond] if jsecond is not None else -math.inf
+    runner_decode = max(b0_decode, float(second_best))
+    if not bmax > runner_decode + TIE_TOL:
+        return erasure
+    winner_counts = table.counts[jstar]
+    winner_metric = float(decode_metric(winner_counts, n, q)) if ml else bmax
+    return (sent_index + 1) % max(m, 2), False, winner_metric, runner_decode, jt, winner_counts
 
 
-def _erasure_outcome(jt: TypeWithDenominator, q: Distribution, b0: float):
-    return BlockOutcome(
-        decoded=None,
-        correct=False,
-        feedback=0,
-        winner_metric=b0,
-        runner_up_metric=b0,
-        joint_type=jt,
-        q_next=q,
-    )
-
-
-def _literal_block(
-    q: Distribution,
-    p: Channel,
-    n: int,
-    rate: float,
-    delta: float,
-    rng: np.random.Generator,
-    scheme: Scheme,
-    use_ml_decoder: bool,
-    codebook_cap: int,
-):
-    nx, ny = p.num_inputs, p.num_outputs
-    codebook = build_codebook(q, n, rate, rng, codebook_cap)
-    m = codebook.shape[0]
-    sent = int(rng.integers(0, m))
+def _literal_block(q: Distribution, p: Channel, rng: np.random.Generator, config: SimConfig):
+    """Decode one block over a materialized fresh codebook."""
+    nx, ny, n = p.num_inputs, p.num_outputs, config.n
+    codebook = build_codebook(q, n, config.rate, rng, config.codebook_cap)
+    sent = int(rng.integers(0, codebook.shape[0]))
     y = _transmit(codebook[sent], p, rng)
     jt = empirical_joint_type(codebook[sent], y, nx, ny)
 
     counts = _codeword_counts(codebook, y, nx, ny)
     nat = decode_metric(counts, n, q)
-    if use_ml_decoder:
-        dec = _pick_winner(loglik_metric(counts, n, guarded_log(p.matrix.T, -np.inf)), delta)
-        winner_metric = float(nat[dec.decoded]) if dec.decoded is not None else float(nat.max())
-        runner_up = dec.runner_up_metric
-        fb_margin = 0
-    else:
-        dec = _pick_winner(nat, delta)
-        winner_metric = dec.winner_metric
-        runner_up = dec.runner_up_metric
-        fb_margin = dec.feedback
+    metrics = loglik_metric(counts, n, guarded_log(p.matrix.T, -np.inf)) if config.use_ml_decoder else nat
+    decoded, _, runner_up = _pick_winner(metrics)
+    if decoded is None:
+        return None, False, float(nat[sent]), float(nat[sent]), jt, None
+    return decoded, decoded == sent, float(nat[decoded]), runner_up, jt, counts[decoded]
 
-    if scheme is Scheme.THRESHOLD:
-        feedback = threshold_decide(winner_metric, rate, delta) if dec.decoded is not None else 0
+
+def _block(q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict):
+    """One block at codebook distribution q with m codewords: the literal
+    decode when m fits ``config.codebook_cap``, the sampled one beyond it, then
+    the feedback bit of ``config.scheme``.  Returns the outcome (with
+    ``q_next = q``) and the winner's joint type counts (None on an erasure)."""
+    if m <= config.codebook_cap:
+        decode = _literal_block(q, p, rng, config)
     else:
-        feedback = fb_margin
-    winner_counts = counts[dec.decoded] if dec.decoded is not None else None
-    return (
-        BlockOutcome(
-            decoded=dec.decoded,
-            correct=dec.decoded == sent,
-            feedback=feedback,
-            winner_metric=winner_metric,
-            runner_up_metric=runner_up,
-            joint_type=jt,
-            q_next=q,
-        ),
-        winner_counts,
+        decode = _virtual_block(q, p, m, rng, config, table_cache)
+    decoded, correct, winner_metric, runner_up, jt, winner_counts = decode
+    if config.scheme is Scheme.THRESHOLD:
+        feedback = int(decoded is not None and threshold_decide(winner_metric, config.rate, config.delta))
+    else:
+        feedback = _margin_decide(decoded, winner_metric, runner_up, config.delta)
+    outcome = BlockOutcome(
+        decoded=decoded,
+        correct=correct,
+        feedback=feedback,
+        winner_metric=winner_metric,
+        runner_up_metric=runner_up,
+        joint_type=jt,
+        q_next=q,
     )
+    return outcome, winner_counts
 
 
 def _channel_at(schedule: tuple, block: int) -> Channel:
@@ -418,37 +355,18 @@ def nts_run(config: SimConfig) -> SimResult:
         if q is not cache_q:
             table_cache.clear()
             cache_q = q
-        if m <= config.codebook_cap:
-            outcome, winner_counts = _literal_block(
-                q, p, config.n, config.rate, config.delta, rng,
-                config.scheme, config.use_ml_decoder, config.codebook_cap,
-            )
-        else:
-            outcome, winner_counts = _virtual_block(
-                q, p, config.n, config.rate, config.delta, m, rng,
-                config.scheme, config.use_ml_decoder, table_cache,
-            )
-
+        outcome, winner_counts = _block(q, p, m, rng, config, table_cache)
         if not outcome.correct:
             errors += 1
-        if outcome.feedback == 1 and winner_counts is not None:
+        if outcome.feedback == 1:
             feedbacks += 1
-            q_next = Distribution(winner_counts.sum(axis=0) / config.n)
             update_stats.append(
                 _update_stat(block, outcome, winner_counts, q, p, config, stat_cache)
             )
             if not outcome.correct:
                 desync.append(block)
-            outcome = BlockOutcome(
-                decoded=outcome.decoded,
-                correct=outcome.correct,
-                feedback=1,
-                winner_metric=outcome.winner_metric,
-                runner_up_metric=outcome.runner_up_metric,
-                joint_type=outcome.joint_type,
-                q_next=q_next,
-            )
-            q = q_next
+            q = Distribution(winner_counts.sum(axis=0) / config.n)
+            outcome = dataclasses.replace(outcome, q_next=q)
         trace.append(outcome)
 
     blocks = max(config.blocks, 1)
@@ -514,18 +432,16 @@ def fixed_q_outcomes(
     """Independent single-block outcomes at a frozen codebook distribution.
 
     Same per-block law as nts_run but Q is never updated; used for event
-    statistics and conditioned type studies at fixed Q."""
+    statistics and conditioned type studies at fixed Q.  The parameters are
+    checked as those of a ``SimConfig``."""
+    config = SimConfig(
+        n=n, rate=rate, delta=delta, blocks=blocks, q0=q, channel_schedule=((0, p),),
+        seed=seed, scheme=scheme, codebook_cap=codebook_cap,
+    )
     rng = np.random.default_rng(seed)
     m = codebook_size(n, rate)
     table_cache: dict = {}
-    outcomes = []
-    for _ in range(blocks):
-        if m <= codebook_cap:
-            out, _ = _literal_block(q, p, n, rate, delta, rng, scheme, False, codebook_cap)
-        else:
-            out, _ = _virtual_block(q, p, n, rate, delta, m, rng, scheme, False, table_cache)
-        outcomes.append(out)
-    return tuple(outcomes)
+    return tuple(_block(q, p, m, rng, config, table_cache)[0] for _ in range(blocks))
 
 
 def fixed_q_event_counts(

@@ -202,7 +202,12 @@ class TestCodebookSize:
 
     def test_beyond_float_range_names_cap(self):
         assert codebook_size(1, 709.0) == math.ceil(math.exp(709.0))
-        for n, rate in ((100_000, 0.45), (20_000, 0.5), (1, MAX_LOG_CODEBOOK + 1e-9), (10**400, 0.3)):
+        # n beyond the float range: the product n * rate is formed exactly.
+        assert codebook_size(10**400, 0.0) == 1
+        assert codebook_size(10**309, 5e-324) == 1
+        for n, rate in (
+            (100_000, 0.45), (20_000, 0.5), (1, MAX_LOG_CODEBOOK + 1e-9), (10**400, 0.3), (10**400, 1e-320)
+        ):
             with pytest.raises(ResourceLimitError) as err:
                 codebook_size(n, rate)
             assert "exceeds the cap" in str(err.value)

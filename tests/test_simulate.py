@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nts.itcore import Channel, Distribution, ResourceLimitError
-from nts.oracle import exact_finite_n
+from nts.oracle import decode_metric, exact_finite_n
 from nts.simulate import (
     Scheme,
     SimConfig,
@@ -22,6 +22,29 @@ from nts.simulate import (
 BSC = Channel.bsc(0.1)
 UNIF = Distribution.uniform(2)
 Q34 = Distribution(np.array([0.75, 0.25]))
+P2 = Channel(np.array([[0.8, 0.2], [0.3, 0.7]]))
+Q64 = Distribution(np.array([0.6, 0.4]))
+
+
+def _both_paths(p, q, n, rate, delta, blocks, scheme, ml):
+    """Outcomes at fixed Q along the literal path and the virtual path (forced
+    by a codebook cap of 1), on independent seeds."""
+    if not ml:
+        return [
+            fixed_q_outcomes(q, p, n, rate, delta, blocks, seed, scheme=scheme, codebook_cap=cap)
+            for seed, cap in ((2, 2**20), (3, 1))
+        ]
+    # The ML decoder runs only inside nts_run; delta = +inf never gives
+    # feedback 1, so Q stays fixed.
+    return [
+        nts_run(
+            SimConfig(
+                n=n, rate=rate, delta=delta, blocks=blocks, q0=q, channel_schedule=((0, p),),
+                seed=seed, scheme=scheme, codebook_cap=cap, use_ml_decoder=True,
+            )
+        ).trace
+        for seed, cap in ((2, 2**20), (3, 1))
+    ]
 
 
 class TestBuildCodebook:
@@ -137,13 +160,37 @@ class TestAgainstExactAnalyzer:
         assert abs(freq_f1 - rep.p_feedback1) <= 5 * se_f1
 
     def test_literal_and_virtual_paths_agree(self):
-        n, rate, delta = 5, 0.3, 0.1
-        lit = fixed_q_outcomes(UNIF, BSC, n, rate, delta, blocks=15000, seed=2)
-        vir = fixed_q_outcomes(UNIF, BSC, n, rate, delta, blocks=15000, seed=3, codebook_cap=1)
-        f_lit = sum(o.correct for o in lit) / len(lit)
-        f_vir = sum(o.correct for o in vir) / len(vir)
-        se = math.sqrt(0.25 / 15000)
-        assert abs(f_lit - f_vir) <= 6 * se
+        # Margin, threshold and threshold with the ML decoder: correct,
+        # erasure and feedback frequencies agree within 6 standard errors.
+        for p, q, delta, scheme, ml in (
+            (BSC, UNIF, 0.1, Scheme.MARGIN, False),
+            (P2, Q64, 0.1, Scheme.THRESHOLD, False),
+            (P2, Q64, math.inf, Scheme.THRESHOLD, True),
+        ):
+            lit, vir = _both_paths(p, q, 5, 0.3, delta, 15000, scheme, ml)
+            for event in (
+                lambda o: o.correct,
+                lambda o: o.decoded is None,
+                lambda o: o.feedback == 1,
+            ):
+                f_lit = sum(map(event, lit)) / len(lit)
+                f_vir = sum(map(event, vir)) / len(vir)
+                pooled = (f_lit + f_vir) / 2
+                se = math.sqrt(pooled * (1 - pooled) * (1 / len(lit) + 1 / len(vir)))
+                assert abs(f_lit - f_vir) <= 6 * se, (scheme, ml)
+
+    @pytest.mark.parametrize("ml", [False, True], ids=["natural", "ml"])
+    def test_erasure_rows_carry_the_sent_metric(self, ml):
+        # On an erasure both metric columns hold the sent word's natural
+        # metric, on either path, so the simulate CSV does not depend on it.
+        n = 5
+        for outs in _both_paths(P2, Q64, n, 0.3, math.inf if ml else 0.1, 3000, Scheme.THRESHOLD, ml):
+            erasures = [o for o in outs if o.decoded is None]
+            assert erasures
+            for o in erasures:
+                sent = decode_metric(o.joint_type.counts, n, Q64)
+                assert o.winner_metric == pytest.approx(sent, abs=1e-12)
+                assert o.runner_up_metric == pytest.approx(sent, abs=1e-12)
 
 
 class TestNtsRun:
@@ -225,6 +272,13 @@ class TestNtsRun:
         b = nts_run(self._config(blocks=25))
         assert [o.feedback for o in a.trace] == [o.feedback for o in b.trace]
         assert np.allclose(a.summary.q_final.probs, b.summary.q_final.probs)
+
+
+class TestFixedQOutcomes:
+    def test_parameters_checked_as_sim_config(self):
+        for n, delta in ((0, 0.1), (5, -0.1)):
+            with pytest.raises(ValueError):
+                fixed_q_outcomes(UNIF, BSC, n, 0.3, delta, blocks=1, seed=0)
 
 
 class TestThresholdScheme:
