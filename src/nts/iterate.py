@@ -105,6 +105,8 @@ def fixed_rate_run(
     variation of Q fall below tol (or max_iter)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     records = []
     q = q0
     before = None
@@ -164,6 +166,8 @@ def fixed_slope_run(
 ) -> SlopeRunResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho}")
     records = []
     q = q0
     prev_obj = math.inf

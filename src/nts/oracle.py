@@ -41,6 +41,9 @@ GRID_CAP = 200_000
 # multiplier is at most 1 in the explicit-formula regime).
 _STRICT_PENALTY = 4.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest competitor class table (classes per received type) that
+# ``competitor_class_table`` builds.
+CLASS_CAP = 5_000_000
 
 
 class ImplicitKind(Enum):
@@ -54,21 +57,35 @@ class ImplicitKind(Enum):
 # ---------------------------------------------------------------------------
 
 
-def decode_metric(counts, n: int, q: Distribution):
+def decode_metric(counts, n: int, q: Distribution, received=None):
     """D(ToV || TxQ) of joint count matrices ``counts[..., y, x]`` with total
     ``n``: the decoder's metric average, +inf where counts sit off supp(Q).
 
     One (|Y|, |X|) matrix gives a float, a batch (..., |Y|, |X|) an array of
     the batch shape; masses with ``n = 1`` give the divergence itself.
+
+    An integer batch with more cells than n reads x log x from a table over
+    0..n.  ``received``, the per-output counts shared by every matrix of the
+    batch (those of a literal block's received word), gives the r log r term
+    once for the whole batch.  Neither changes a bit of the result: the
+    terms are the same floats, summed in the same order.
     """
-    c = np.asarray(counts, dtype=float)
+    c = np.asarray(counts)
+    if np.issubdtype(c.dtype, np.integer) and c.size > n:
+        xl = xlogx(np.arange(n + 1)).__getitem__
+    else:
+        c = np.asarray(c, dtype=float)
+        xl = xlogx
+    rows = c.sum(axis=-1) if received is None else np.asarray(received)
     vals = (
-        xlogx(c).sum(axis=(-2, -1))
-        - xlogx(c.sum(axis=-1)).sum(axis=-1)
+        xl(c).sum(axis=(-2, -1))
+        - xl(rows).sum(axis=-1)
         - (c * guarded_log(q.probs, 0.0)).sum(axis=(-2, -1))
     ) / n
-    vals = np.where(c[..., q.probs == 0].any(axis=(-2, -1)), np.inf, vals)
-    return float(vals) if vals.ndim == 0 else vals
+    off = q.probs == 0
+    if off.any():
+        vals = np.where(c[..., off].any(axis=(-2, -1)), np.inf, vals)
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 def _output_metrics(comps: np.ndarray, ry, logq: np.ndarray, n: int) -> np.ndarray:
@@ -450,60 +467,73 @@ class CompetitorClassTable:
         return np.fromiter(map(math.exp, log_p.tolist()), dtype=float, count=log_p.size)
 
 
-def _cartesian_sum(values: list[np.ndarray]):
-    """Flat cartesian-product sums of per-axis value arrays, with per-axis index
-    arrays for reconstructing the combined classes."""
-    sizes = tuple(v.size for v in values)
-    total = int(np.prod(sizes))
-    idx = np.unravel_index(np.arange(total), sizes)
-    out = np.zeros(total)
-    for axis, v in enumerate(values):
-        out += v[idx[axis]]
-    return out, idx
+def _outer_sum(values: list[np.ndarray]) -> np.ndarray:
+    """Sums of one entry per array over every tuple of entries, flat in C
+    order (the first array varies slowest), each summed left to right from
+    0.0."""
+    out = 0.0 + values[0]
+    for v in values[1:]:
+        out = np.add.outer(out, v).ravel()
+    return out
 
 
-def competitor_class_table(
-    r, q: Distribution, n: int, metric_channel: Channel | None = None, class_cap: int = 5_000_000
-) -> CompetitorClassTable:
+def _output_product(parts: list, nx: int, dtype):
+    """The product over the outputs of per-output composition sets.
+
+    ``parts[y] = (comps, cols, logp, metric)``: the compositions (k_y,
+    len(cols)) of output y's count over the input letters ``cols``, with each
+    composition's log-probability and metric share.  Returns the summed
+    log-probabilities and metrics of every tuple of per-output compositions,
+    flat in C order (output 0 varies slowest), and the tuples' (N, |Y|, |X|)
+    count matrices in ``dtype``, in the same order."""
+    ny = len(parts)
+    sizes = tuple(comps.shape[0] for comps, _, _, _ in parts)
+    counts = np.zeros(sizes + (ny, nx), dtype=dtype)
+    for y, (comps, cols, _, _) in enumerate(parts):
+        shape = [1] * ny + [cols.size]
+        shape[y] = sizes[y]
+        counts[..., y, cols] = comps.reshape(shape)
+    logp = _outer_sum([part[2] for part in parts])
+    metric = _outer_sum([part[3] for part in parts])
+    return logp, metric, counts.reshape(-1, ny, nx)
+
+
+def check_class_count(r, s: int, n: int) -> None:
+    """Raise ``ResourceLimitError`` when a received word with output counts
+    ``r`` has more than ``CLASS_CAP`` competitor classes over ``s`` letters."""
+    count = 1
+    for ry in r:
+        count *= num_compositions(int(ry), s)
+        if count > CLASS_CAP:
+            raise ResourceLimitError(f"competitor class count exceeds cap {CLASS_CAP} at n={n}")
+
+
+def competitor_class_table(r, q: Distribution, n: int, metric_channel: Channel | None = None) -> CompetitorClassTable:
     """Exact per-class probabilities and metrics for one codeword ~ Q^n given a
     received word with output counts ``r``.
 
     The class probability is a product of per-output multinomials restricted to
     supp(Q); the metric is D(ToV || TxQ) of the class (or the log-likelihood
     average when ``metric_channel`` is given, for the ML-decoder variant).
+    ``counts`` is held in the narrowest unsigned dtype that holds n.
     """
     r = np.asarray(r, dtype=int)
-    ny = r.size
     supp = q.support
-    s = supp.size
-    qs = q.probs[supp]
-    logq = np.log(qs)
+    logq = np.log(q.probs[supp])
     if metric_channel is not None:
         logch = guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
+    check_class_count(r, supp.size, n)
 
-    count = 1
-    for ry in r:
-        count *= num_compositions(int(ry), s)
-        if count > class_cap:
-            raise ResourceLimitError(
-                f"competitor class count exceeds cap {class_cap} at n={n}"
-            )
-
-    per_logp, per_metric, per_comps = [], [], []
-    for y in range(ny):
-        ry = int(r[y])
-        comps = compositions_array(ry, s)  # (k, s)
+    parts = []
+    for y, ry in enumerate(r.tolist()):
+        comps = compositions_array(ry, supp.size)  # (k, s)
         logp = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logq
         if metric_channel is not None:
             met = loglik_metric(comps[:, None, :], n, logch[y : y + 1])
         else:
             met = _output_metrics(comps, ry, logq, n)
-        per_logp.append(logp)
-        per_metric.append(met)
-        per_comps.append(comps)
-
-    logp_all, idx = _cartesian_sum(per_logp)
-    metric_all, _ = _cartesian_sum(per_metric)
+        parts.append((comps, supp, logp, met))
+    logp_all, metric_all, counts = _output_product(parts, q.probs.size, np.min_scalar_type(n))
 
     order = np.argsort(-metric_all, kind="stable")
     metrics = metric_all[order]
@@ -511,12 +541,8 @@ def competitor_class_table(
 
     suffix = np.full(metrics.size + 1, -np.inf)
     suffix[:-1] = np.logaddexp.accumulate(log_probs[::-1])[::-1]
-
-    counts = np.zeros((metrics.size, ny, q.probs.size), dtype=np.int64)
-    for y in range(ny):
-        counts[:, y, supp] = per_comps[y][idx[y][order]]
     return CompetitorClassTable(
-        metrics=metrics, log_probs=log_probs, suffix_logsum=suffix, counts=counts, n=n
+        metrics=metrics, log_probs=log_probs, suffix_logsum=suffix, counts=np.take(counts, order, axis=0), n=n
     )
 
 
@@ -604,30 +630,21 @@ def exact_finite_n(
 
         # Joint types of the (sent, received) pair with this received type:
         # per-output compositions over cells with positive Q(x)P(y|x).
-        per_logp, per_metric, per_allowed, per_comps = [], [], [], []
-        feasible = True
+        parts = []
         for y in range(ny):
             allowed = supp[qp[y, supp] > 0]
-            if allowed.size == 0 and r[y] > 0:
-                feasible = False
-                break
             if allowed.size == 0:
-                comps = np.zeros((1, 0), dtype=np.int64)
-                logp = np.zeros(1)
-                met = np.zeros(1)
-            else:
-                comps = compositions_array(int(r[y]), allowed.size)
-                logp = gammaln(r[y] + 1) - gammaln(comps + 1).sum(axis=1) + comps @ np.log(qp[y, allowed])
-                met = _output_metrics(comps, r[y], np.log(q.probs[allowed]), n)
-            per_logp.append(logp)
-            per_metric.append(met)
-            per_allowed.append(allowed)
-            per_comps.append(comps)
-        if not feasible:
-            continue
+                if r[y] > 0:
+                    break
+                parts.append((np.zeros((1, 0), dtype=np.int64), allowed, np.zeros(1), np.zeros(1)))
+                continue
+            comps = compositions_array(int(r[y]), allowed.size)
+            logp = gammaln(r[y] + 1) - gammaln(comps + 1).sum(axis=1) + comps @ np.log(qp[y, allowed])
+            parts.append((comps, allowed, logp, _output_metrics(comps, r[y], np.log(q.probs[allowed]), n)))
+        if len(parts) < ny:
+            continue  # a received output that supp(Q) cannot reach
 
-        logp_all, idx = _cartesian_sum(per_logp)
-        metric_all, _ = _cartesian_sum(per_metric)
+        logp_all, metric_all, counts = _output_product(parts, nx, np.int64)
         # Per-output factors above are r_y-multinomials; the factor below
         # distributes the n slots among the outputs.
         logp_all += gammaln(n + 1) - gammaln(r + 1).sum()
@@ -642,11 +659,6 @@ def exact_finite_n(
         p_correct = _accumulate(p_correct, probs * p_corr_given)
         p_error = _accumulate(p_error, probs * p_fail_given)
         p_f1 = _accumulate(p_f1, probs * p_f1_given)
-
-        counts = np.zeros((probs.size, ny, nx), dtype=np.int64)
-        for y in range(ny):
-            if per_allowed[y].size:
-                counts[:, y, per_allowed[y]] = per_comps[y][idx[y]]
         blocks.append((counts, probs, p_fail_given, p_corr_given, p_f1_given))
 
     return ExactFiniteNReport(

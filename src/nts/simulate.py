@@ -37,7 +37,13 @@ from .exponents import (
     correct_exponent_strict,
     error_exponent,
 )
-from .oracle import CompetitorClassTable, competitor_class_table, decode_metric, loglik_metric
+from .oracle import CompetitorClassTable, check_class_count, competitor_class_table, decode_metric, loglik_metric
+
+# Largest literal block, in symbol cells m * n of its codebook.  Scoring a
+# codebook takes about 17 bytes a cell at its peak (the symbols and two int64
+# index arrays), so the cap holds a literal block under about 300 MB.  A
+# sampled block draws one word, so it is held to n <= LITERAL_CELL_CAP.
+LITERAL_CELL_CAP = 2**24
 
 
 class Scheme(Enum):
@@ -115,16 +121,35 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
+def _draw_by_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The letter of each uniform in ``u`` under the non-decreasing ``cdf``:
+    the number of cdf entries <= u, which is ``np.searchsorted(cdf, u,
+    side="right")``, counted by one comparison per letter in the narrowest
+    unsigned dtype that holds |X|."""
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+    for c in cdf.tolist():
+        out += u >= c
+    return out
+
+
+def _check_cells(words: int, n: int) -> None:
+    if words * n > LITERAL_CELL_CAP:
+        cells = f"n = {n}" if words == 1 else f"m * n = {words} * {n}"
+        raise ResourceLimitError(
+            f"a block of {cells} symbol cells exceeds the cap LITERAL_CELL_CAP = {LITERAL_CELL_CAP}"
+        )
+
+
 def build_codebook(
     q: Distribution, n: int, rate: float, rng: np.random.Generator, codebook_cap: int = 2**20
 ) -> np.ndarray:
-    """M x n symbol array, entries i.i.d. ~ q, M = ceil(e^{n*rate})."""
+    """M x n symbol array, entries i.i.d. ~ q, M = ceil(e^{n*rate}), in the
+    narrowest unsigned dtype that holds |X|."""
     m = codebook_size(n, rate)
     if m > codebook_cap:
         raise ResourceLimitError(f"codebook size {m} exceeds cap {codebook_cap}")
-    cdf = np.cumsum(q.probs)
-    u = rng.random((m, n))
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    _check_cells(m, n)
+    return _draw_by_cdf(np.cumsum(q.probs), rng.random((m, n)))
 
 
 def _transmit(x: np.ndarray, p: Channel, rng: np.random.Generator) -> np.ndarray:
@@ -193,7 +218,7 @@ def threshold_decide(winner_metric: float, rate: float, delta: float) -> int:
 
 
 def _draw_iid(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    return np.searchsorted(np.cumsum(probs), rng.random(size), side="right").astype(np.int64)
+    return _draw_by_cdf(np.cumsum(probs), rng.random(size))
 
 
 def _sample_max_class(
@@ -274,7 +299,7 @@ def _virtual_block(
     runner_decode = max(b0_decode, float(second_best))
     if not bmax > runner_decode + TIE_TOL:
         return erasure
-    winner_counts = table.counts[jstar]
+    winner_counts = table.counts[jstar].astype(np.int64)
     winner_metric = float(decode_metric(winner_counts, n, q)) if ml else bmax
     return (sent_index + 1) % max(m, 2), False, winner_metric, runner_decode, jt, winner_counts
 
@@ -288,7 +313,7 @@ def _literal_block(q: Distribution, p: Channel, rng: np.random.Generator, config
     jt = empirical_joint_type(codebook[sent], y, nx, ny)
 
     counts = _codeword_counts(codebook, y, nx, ny)
-    nat = decode_metric(counts, n, q)
+    nat = decode_metric(counts, n, q, received=jt.counts.sum(axis=1))
     metrics = loglik_metric(counts, n, guarded_log(p.matrix.T, -np.inf)) if config.use_ml_decoder else nat
     decoded, _, runner_up = _pick_winner(metrics)
     if decoded is None:
@@ -322,6 +347,24 @@ def _block(q: Distribution, p: Channel, m: int, rng: np.random.Generator, config
     return outcome, winner_counts
 
 
+def _check_caps(config: SimConfig, m: int) -> None:
+    """Refuse, before any block runs, a run whose blocks can exceed a cap: the
+    symbol cells a block draws (m * n on the literal path, n on the sampled
+    one), or the competitor class count of the sampled path at its largest
+    received type.
+
+    Q's support never grows, so the class count peaks at |supp Q0| letters.
+    log C(r + s - 1, s - 1) is concave in r, so over received types it peaks
+    at the balanced split of n among the outputs that supp Q0 reaches."""
+    n, supp = config.n, config.q0.support
+    if m <= config.codebook_cap:
+        _check_cells(m, n)
+        return
+    _check_cells(1, n)
+    reach = max(int((ch.matrix[supp] > 0).any(axis=0).sum()) for _, ch in config.channel_schedule)
+    check_class_count([n // reach + (y < n % reach) for y in range(reach)], supp.size, n)
+
+
 def _channel_at(schedule: tuple, block: int) -> Channel:
     current = schedule[0][1]
     for idx, ch in schedule:
@@ -341,6 +384,7 @@ def nts_run(config: SimConfig) -> SimResult:
     rng = np.random.default_rng(config.seed)
     q = config.q0
     m = codebook_size(config.n, config.rate)
+    _check_caps(config, m)
     trace = []
     update_stats = []
     desync = []
@@ -440,6 +484,7 @@ def fixed_q_outcomes(
     )
     rng = np.random.default_rng(seed)
     m = codebook_size(n, rate)
+    _check_caps(config, m)
     table_cache: dict = {}
     return tuple(_block(q, p, m, rng, config, table_cache)[0] for _ in range(blocks))
 

@@ -193,6 +193,15 @@ class TestCodebookCap:
         assert "exceeds the cap" in err and "range error" not in err
 
 
+class TestLiteralCellCap:
+    def test_simulate_beyond_the_literal_cap_exits_4_naming_it(self, tmp_path, capsys):
+        # Rate 0 gives one codeword, so only the blocklength is too large.
+        cfg = write_config(tmp_path / "c.json", n=10**400, rate=0.0)
+        assert run_command(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "LITERAL_CELL_CAP" in err and "dimension" not in err
+
+
 class TestCurves:
     def test_zero_crossings_bracket_mutual_information(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

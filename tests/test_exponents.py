@@ -312,3 +312,27 @@ class TestBatchedKernel:
             assert abs(value - e0(rho, q, p)) <= 1e-12
             assert abs(value - sol.e0) <= 1e-12
             assert abs(slope - sol.slope) <= 1e-12
+
+
+class TestExponentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(channel_and_q(), st.floats(0.0, 2.0))
+    def test_exponents_are_nonnegative(self, qp, rate):
+        q, p = qp
+        assert error_exponent(rate, q, p).value >= 0.0
+        assert correct_exponent_ml(rate, q, p).value >= 0.0
+        strict = correct_exponent_strict(rate, q, p)
+        if not isinstance(strict, StrictDomainReport):
+            assert strict.value >= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(channel_and_q(), st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6))
+    def test_monotone_in_rate(self, qp, rates):
+        # Error exponent non-increasing and ML correct exponent
+        # non-decreasing in R.
+        q, p = qp
+        rates = sorted(rates)
+        errors = [error_exponent(rate, q, p).value for rate in rates]
+        corrects = [correct_exponent_ml(rate, q, p).value for rate in rates]
+        assert all(b <= a for a, b in zip(errors, errors[1:]))
+        assert all(b >= a for a, b in zip(corrects, corrects[1:]))

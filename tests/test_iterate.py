@@ -120,6 +120,16 @@ class TestFixedRateRun:
             assert b <= a
 
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected_before_any_step(self, rate, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr("nts.iterate.fixed_rate_step", no_step)
+        with pytest.raises(ValueError, match="rate"):
+            fixed_rate_run(UNIF, rate, BSC, max_iter=50)
+
+
 class TestCheckLowerThan:
     def test_capacity_achieving_q_holds(self):
         rep = check_lower_than(UNIF, 0.3, BSC)
@@ -158,6 +168,15 @@ class TestFixedSlope:
             fixed_slope_step(UNIF, 0.0, BSC)
         with pytest.raises(ValueError):
             fixed_slope_step(UNIF, -1.0, BSC)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_rejected_before_any_step(self, rho, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr("nts.iterate.fixed_slope_step", no_step)
+        with pytest.raises(ValueError, match="rho"):
+            fixed_slope_run(UNIF, rho, BSC, max_iter=50)
 
     def test_terminal_matches_grid_minimum(self):
         for rho in (-0.8, -0.5, -0.2):

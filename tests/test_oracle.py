@@ -13,6 +13,7 @@ from nts.itcore import (
     ResourceLimitError,
     TIE_TOL,
     codebook_size,
+    compositions_array,
     compositions_iter,
     guarded_log,
 )
@@ -26,6 +27,7 @@ from nts.oracle import (
     decode_metric,
     exact_finite_n,
     implicit_exponent,
+    loglik_metric,
     min_over_small_supports,
     project_simplex,
 )
@@ -276,6 +278,113 @@ class TestCompetitorTable:
             assert decode_metric(table.counts[k], 5, q) == pytest.approx(
                 float(table.metrics[k]), abs=1e-12
             )
+
+
+def reference_class_table(r, q, n, metric_channel=None):
+    """(metrics, log_probs, suffix_logsum, counts) of the competitor class
+    table, built with one ``unravel_index`` gather per output into zeroed
+    sums, and counts filled output by output into a zeroed int64 block."""
+    supp = q.support
+    logq = np.log(q.probs[supp])
+    per_output = []
+    for y, ry in enumerate(r):
+        comps = compositions_array(ry, supp.size)
+        logp = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logq
+        if metric_channel is None:
+            met = _output_metrics(comps, ry, logq, n)
+        else:
+            logch = guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
+            met = loglik_metric(comps[:, None, :], n, logch[y : y + 1])
+        per_output.append((comps, logp, met))
+    sizes = tuple(comps.shape[0] for comps, _, _ in per_output)
+    idx = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+    logp_all = np.zeros(idx[0].size)
+    metric_all = np.zeros(idx[0].size)
+    for y, (_, logp, met) in enumerate(per_output):
+        logp_all += logp[idx[y]]
+        metric_all += met[idx[y]]
+    order = np.argsort(-metric_all, kind="stable")
+    log_probs = logp_all[order]
+    suffix = np.full(order.size + 1, -np.inf)
+    suffix[:-1] = np.logaddexp.accumulate(log_probs[::-1])[::-1]
+    counts = np.zeros((order.size, len(r), q.probs.size), dtype=np.int64)
+    for y, (comps, _, _) in enumerate(per_output):
+        counts[:, y, supp] = comps[idx[y][order]]
+    return metric_all[order], log_probs, suffix, counts
+
+
+def _weights(size):
+    # Integer weights give exact zeros and no near-degenerate entries.
+    return st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+
+
+@st.composite
+def class_table_case(draw):
+    """Output counts r (1-3 outputs), a Q over 1-3 letters that may have zero
+    letters, and, for the ML variant, a metric channel that may have zeros."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = np.array(draw(_weights(nx)), dtype=float)
+    r = draw(st.lists(st.integers(0, 9), min_size=ny, max_size=ny).filter(any))
+    channel = None
+    if draw(st.booleans()):
+        rows = np.array([draw(_weights(ny)) for _ in range(nx)], dtype=float)
+        channel = Channel(rows / rows.sum(axis=1, keepdims=True))
+    return r, Distribution(q / q.sum()), channel
+
+
+class TestCompetitorTableKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(class_table_case())
+    def test_equals_reference_build(self, case):
+        r, q, channel = case
+        n = sum(r)
+        table = competitor_class_table(np.array(r), q, n, metric_channel=channel)
+        metrics, log_probs, suffix, counts = reference_class_table(r, q, n, channel)
+        assert table.metrics.tobytes() == metrics.tobytes()
+        assert table.log_probs.tobytes() == log_probs.tobytes()
+        assert table.suffix_logsum.tobytes() == suffix.tobytes()
+        assert np.array_equal(table.counts, counts)
+        assert table.counts.dtype == np.min_scalar_type(n)
+
+
+@st.composite
+def shared_rows_batch_and_q(draw):
+    """A batch of joint count matrices (2x2 to 3x3) whose rows have the same
+    per-output totals r, as the codewords of a literal block have against
+    one received word, with more cells than n; and a Q that may have zero
+    letters."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    q = np.array(draw(_weights(nx)), dtype=float)
+    r = np.array(draw(st.lists(st.integers(0, 12), min_size=ny, max_size=ny).filter(any)))
+    n = int(r.sum())
+    size = n + draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.stack([rng.multinomial(ry, np.full(nx, 1.0 / nx), size=size) for ry in r], axis=1)
+    return counts.astype(np.int64), r, n, Distribution(q / q.sum())
+
+
+class TestDecodeMetricKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_rows_batch_and_q())
+    def test_integer_path_equals_float_path(self, case):
+        counts, r, n, q = case
+        floats = decode_metric(counts.astype(float), n, q)
+        for batch in (counts, counts.astype(np.uint8)):
+            assert decode_metric(batch, n, q).tobytes() == floats.tobytes()
+            assert decode_metric(batch, n, q, received=r).tobytes() == floats.tobytes()
+
+
+class TestExactProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.floats(0.0, 0.6), st.floats(0.0, 0.3))
+    def test_type_probabilities_sum_to_one(self, data, n, rate, delta):
+        # 2x2 to 3x3 channels and Qs, both possibly with zero entries.
+        nx, ny = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+        q = np.array(data.draw(_weights(nx)), dtype=float)
+        rows = np.array([data.draw(_weights(ny)) for _ in range(nx)], dtype=float)
+        p = Channel(rows / rows.sum(axis=1, keepdims=True))
+        rep = exact_finite_n(n, rate, delta, Distribution(q / q.sum()), p)
+        assert math.fsum(rep.per_type_breakdown.probability.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMinOverSmallSupports:

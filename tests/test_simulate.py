@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nts.itcore import Channel, Distribution, ResourceLimitError
-from nts.oracle import decode_metric, exact_finite_n
+from nts.itcore import Channel, Distribution, ResourceLimitError, compositions_iter
+from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n
 from nts.simulate import (
+    LITERAL_CELL_CAP,
     Scheme,
     SimConfig,
+    _draw_by_cdf,
     build_codebook,
     estimate_exponent,
     fixed_q_event_counts,
@@ -73,6 +76,106 @@ class TestBuildCodebook:
         a = build_codebook(UNIF, 6, 0.4, np.random.default_rng(5))
         b = build_codebook(UNIF, 6, 0.4, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+@st.composite
+def cdf_and_uniforms(draw):
+    """A non-decreasing cdf over 1-6 letters, with repeated entries from
+    zero-probability letters and a last entry at or below 1, and uniforms
+    that include every cdf entry and its two float neighbours."""
+    weights = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any)), dtype=float)
+    scale = draw(st.sampled_from([1.0, 0.75, 1.0 - 2.0**-40]))
+    cdf = np.cumsum(weights / weights.sum()) * scale
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.concatenate(([0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), rng.random(64)))
+    return cdf, u[u < 1.0]
+
+
+class TestDrawByCdf:
+    @settings(max_examples=200, deadline=None)
+    @given(cdf_and_uniforms())
+    def test_equals_searchsorted_right(self, case):
+        cdf, u = case
+        assert np.array_equal(_draw_by_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
+
+    def test_codebook_draws_follow_searchsorted(self):
+        q = Distribution(np.array([0.2, 0.0, 0.5, 0.3]))
+        book = build_codebook(q, 9, 0.5, np.random.default_rng(4))
+        u = np.random.default_rng(4).random(book.shape)
+        assert np.array_equal(book, np.searchsorted(np.cumsum(q.probs), u, side="right"))
+        assert not np.any(book == 1)
+
+
+def _no_block(*args):
+    raise AssertionError("a block ran")
+
+
+def _class_count(r, s):
+    return math.prod(math.comb(ry + s - 1, s - 1) for ry in r)
+
+
+class TestCapsBeforeAnyBlock:
+    """Configs whose blocks can exceed a cap are refused before any block."""
+
+    def _config(self, n, rate, q0=UNIF, p=BSC, blocks=10):
+        return SimConfig(n=n, rate=rate, delta=0.1, blocks=blocks, q0=q0, channel_schedule=((0, p),), seed=0)
+
+    def test_literal_cells(self, monkeypatch):
+        monkeypatch.setattr("nts.simulate._block", _no_block)
+        with pytest.raises(ResourceLimitError, match="LITERAL_CELL_CAP"):
+            nts_run(self._config(10**400, 0.0))
+        with pytest.raises(ResourceLimitError, match="LITERAL_CELL_CAP"):
+            fixed_q_outcomes(UNIF, BSC, 10**400, 0.0, 0.1, blocks=1, seed=0)
+        with pytest.raises(ResourceLimitError, match="LITERAL_CELL_CAP"):
+            build_codebook(UNIF, LITERAL_CELL_CAP + 1, 0.0, np.random.default_rng(0))
+
+    def test_sampled_block_length(self, monkeypatch):
+        # A point-mass Q0 has one class per received type, so only the n
+        # symbols that a sampled block draws can be too many.
+        monkeypatch.setattr("nts.simulate._block", _no_block)
+        with pytest.raises(ResourceLimitError, match=f"n = {10**30} symbol cells exceeds the cap LITERAL_CELL_CAP"):
+            nts_run(self._config(10**30, 1e-28, q0=Distribution.point_mass(2, 0)))
+
+    def test_balanced_received_type_has_the_most_classes(self):
+        for s in range(1, 5):
+            for ny in range(1, 5):
+                for n in range(13):
+                    balanced = [n // ny + (y < n % ny) for y in range(ny)]
+                    most = max(_class_count(r, s) for r in compositions_iter(n, ny))
+                    assert _class_count(balanced, s) == most
+
+    def test_class_count_at_the_balanced_received_type(self, monkeypatch):
+        # Three letters, two outputs: the first n whose balanced received
+        # type has more classes than the cap.
+        q, p = Distribution.uniform(3), Channel(np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]))
+        n = 2
+        while _class_count((n // 2, n - n // 2), 3) <= CLASS_CAP:
+            n += 1
+        assert nts_run(self._config(n - 1, 0.3, q, p, blocks=0)).trace == ()
+        monkeypatch.setattr("nts.simulate._block", _no_block)
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap {CLASS_CAP}"):
+            nts_run(self._config(n, 0.3, q, p))
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap {CLASS_CAP}"):
+            fixed_q_outcomes(q, p, n, 0.3, 0.1, blocks=1, seed=0)
+
+    def test_only_outputs_that_supp_q0_reaches_count(self):
+        # Output 2 is reachable only from letter 2, which Q0 omits, so the
+        # received types split n between two outputs, not three.
+        p = Channel(np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0], [0.1, 0.1, 0.8]]))
+        q = Distribution(np.array([0.5, 0.5, 0.0]))
+        n = 3000
+        assert _class_count((n // 2, n // 2), 2) <= CLASS_CAP < _class_count((1000, 1000, 1000), 2)
+        assert nts_run(self._config(n, 0.2, q, p, blocks=0)).trace == ()
+
+    def test_refusal_is_worst_case_over_received_types(self, monkeypatch):
+        # The received types of this skewed run sit near (4411, 89), about
+        # 0.4M classes, but the balanced (2250, 2250) has 2251^2 > CLASS_CAP
+        # and can be received, so the run is refused before its first block.
+        q0, n = Distribution(np.array([0.99, 0.01])), 4500
+        assert _class_count((4411, 89), 2) < CLASS_CAP < _class_count((2250, 2250), 2)
+        monkeypatch.setattr("nts.simulate._block", _no_block)
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap {CLASS_CAP}"):
+            nts_run(self._config(n, 0.01, q0, Channel.bsc(0.01)))
 
 
 class TestNaturalDecode:
