@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .itcore import Channel, Distribution, JointDistribution, kl_masses
-from .exponents import ExponentResult, _kernel_inputs, _tilted, correct_exponent_ml, tilted_objective
+from .exponents import ExponentResult, _kernel_inputs, _tilted, capacity, correct_exponent_ml, tilted_objective
 from .oracle import min_over_small_supports
 
 
@@ -110,8 +110,9 @@ def fixed_rate_run(
     records = []
     q = q0
     before = None
-    for _ in range(max_iter):
+    for step in range(max_iter):
         rec = fixed_rate_step(q, rate, p, before)
+        _check_finite("exponent", (rec.exponent_before, rec.exponent_after), step)
         records.append(rec)
         before = rec.result_after
         exp_change = rec.exponent_before - rec.exponent_after
@@ -132,10 +133,24 @@ def fixed_rate_run(
 
 def check_lower_than(q0: Distribution, rate: float, p: Channel) -> LowerThanReport:
     """Convergence-to-zero condition: E_c^ML(R, Q0) strictly below the minimum
-    of E_c^ML(R, .) over distributions whose support has capacity < R."""
+    of E_c^ML(R, .) over distributions whose support has capacity < R.
+
+    When supp(Q0) itself has capacity < R, Q0 lies in the set the minimum
+    ranges over, so rhs <= lhs and ``holds`` is False.  It is set so outright:
+    where Q0 is the minimizer both sides are one value computed two ways, and
+    comparing them would only compare their roundoff.  ``lhs`` and ``rhs`` are
+    still reported."""
     lhs = correct_exponent_ml(rate, q0, p).value
     rhs, worst = min_over_small_supports(rate, p)
-    return LowerThanReport(holds=lhs < rhs, lhs=lhs, rhs=rhs, worst_support=worst)
+    holds = lhs < rhs and capacity(p, q0.support) >= rate
+    return LowerThanReport(holds=holds, lhs=lhs, rhs=rhs, worst_support=worst)
+
+
+def _check_finite(name: str, values, step: int) -> None:
+    """Raise ``ValueError`` naming the step when a loop value is not finite."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} {value} at step {step}")
 
 
 def _slope_update(q: Distribution, rho: float, p: Channel):
@@ -171,8 +186,9 @@ def fixed_slope_run(
     records = []
     q = q0
     prev_obj = math.inf
-    for _ in range(max_iter):
+    for step in range(max_iter):
         rec = fixed_slope_step(q, rho, p)
+        _check_finite("objective", (rec.objective_mid, rec.objective_after), step)
         records.append(rec)
         tv = 0.5 * float(np.abs(rec.q_after.probs - q.probs).sum())
         change = prev_obj - rec.objective_after

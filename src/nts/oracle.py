@@ -44,6 +44,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest competitor class table (classes per received type) that
 # ``competitor_class_table`` builds.
 CLASS_CAP = 5_000_000
+# Largest number of (sent, received) joint types that ``exact_finite_n``
+# enumerates.
+TYPE_CAP = 10_000_000
 
 
 class ImplicitKind(Enum):
@@ -594,7 +597,6 @@ def exact_finite_n(
     delta: float,
     q: Distribution,
     p: Channel,
-    type_cap: int = 10_000_000,
 ) -> ExactFiniteNReport:
     """Exact strict-decoding and confident-feedback probabilities at blocklength n.
 
@@ -613,8 +615,9 @@ def exact_finite_n(
     if m > 2**30:
         raise ResourceLimitError(f"codebook size {m} exceeds 2^30")
     ny, nx = p.num_outputs, p.num_inputs
-    if num_compositions(n, ny * nx) > type_cap:
-        raise ResourceLimitError("joint type count exceeds cap")
+    types = num_compositions(n, ny * nx)
+    if types > TYPE_CAP:
+        raise ResourceLimitError(f"{types} joint types at n = {n} exceed the cap TYPE_CAP = {TYPE_CAP}")
 
     qp = q.probs[None, :] * p.matrix.T  # (ny, nx)
     supp = q.support
@@ -680,30 +683,33 @@ _RHO_EDGE_ORACLE = 1e-6
 
 
 class _SupportObjective:
-    """Fast evaluator of Q -> E_c^ML(rate, Q) for Q on a fixed support.
+    """Fast evaluator of Q -> E_c^ML(rate, Q) for full-alphabet Q rows.
 
-    Maximizes E0(rho, Q) - rho*rate over rho by golden section on the concave
-    objective (plus the rho = -1 and rho = 0 endpoints), instead of re-running
-    the slope bisection of the exponents module at every descent step.  E0
-    comes from the tilted kernel of the exponents module; a batch of Q rows
-    runs its golden sections in lockstep.
+    A row's support is where it is positive: its zero letters are masked out
+    of E0 (log Q = -inf in the tilted kernel) and of the rho = -1 endpoint, so
+    rows on different supports share one batch.  Maximizes E0(rho, Q) -
+    rho*rate over rho by golden section on the concave objective (plus the
+    rho = -1 and rho = 0 endpoints), instead of re-running the slope bisection
+    of the exponents module at every descent step.  E0 comes from the tilted
+    kernel of the exponents module; a batch of Q rows runs its golden sections
+    in lockstep.
     """
 
-    def __init__(self, rate: float, support: tuple, p: Channel):
+    def __init__(self, rate: float, p: Channel):
         self.rate = rate
-        self.sub = p.matrix[list(support)]  # (s, ny)
-        self.logsub = guarded_log(self.sub, -np.inf)
+        self.matrix = p.matrix  # (|X|, |Y|)
+        self.logp = guarded_log(self.matrix, -np.inf)
 
-    def values_and_rhos(self, qsub: np.ndarray):
-        """(value, rho*) arrays for a batch of Q rows ``qsub`` (B, s); each
+    def values_and_rhos(self, q: np.ndarray):
+        """(value, rho*) arrays for a batch of Q rows ``q`` (B, |X|); each
         row follows the same golden-section sequence as it would alone."""
-        logq = guarded_log(qsub, -np.inf)
+        logq = guarded_log(q, -np.inf)
 
         def g(rho):
-            return -_log_partition(rho, logq, self.logsub)[-1] - rho * self.rate
+            return -_log_partition(rho, logq, self.logp)[-1] - rho * self.rate
 
-        lo = np.full(qsub.shape[0], -1.0 + _RHO_EDGE_ORACLE)
-        hi = np.zeros(qsub.shape[0])
+        lo = np.full(q.shape[0], -1.0 + _RHO_EDGE_ORACLE)
+        hi = np.zeros(q.shape[0])
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
         gc, gd = g(c), g(d)
@@ -722,72 +728,120 @@ class _SupportObjective:
         # zero at rho = 0, and at rho = -1 it is -log sum_y max_{supp Q} P.
         at_zero = ~(val > 0.0)
         rho[at_zero], val[at_zero] = 0.0, 0.0
-        best = np.where(qsub[:, :, None] > 0, self.sub, -np.inf).max(axis=1)
+        best = np.where(q[:, :, None] > 0, self.matrix, -np.inf).max(axis=1)
         val_m1 = -_math_log(best.sum(axis=1)) + self.rate
         at_m1 = val_m1 > val
         rho[at_m1], val[at_m1] = -1.0, val_m1[at_m1]
         return val, rho
 
-    def value_and_rho(self, qsub: np.ndarray):
-        val, rho = self.values_and_rhos(qsub[None, :])
-        return float(val[0]), float(rho[0])
-
-    def gradients(self, qsub: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Gradients in Q of E0(rho[b], .) at the rows ``qsub[b]`` (B, s):
+    def gradients(self, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Gradients in Q of E0(rho[b], .) at the rows ``q[b]`` (B, |X|):
         -(1 + rho) sum_y exp(gamma log P(y|x) + rho li_y - log_z) over the
         outputs reachable from supp(Q), with ``li``, ``log_z`` and gamma =
         1/(1+rho) from the tilted kernel.
 
         Zero at rho = -1, where E0 depends on Q only through its support, and
         at rho = 0, where E0 vanishes identically."""
-        grad = np.zeros(qsub.shape)
+        grad = np.zeros(q.shape)
         inner = (rho > -1 + 1e-9) & (rho < -1e-12)
         if inner.any():
             r = rho[inner]
-            _, li, reachable, _, log_z = _log_partition(r, guarded_log(qsub[inner], -np.inf), self.logsub)
+            _, li, reachable, _, log_z = _log_partition(r, guarded_log(q[inner], -np.inf), self.logp)
             # Unreachable outputs (li = -inf) are masked out; the terms of
             # letters off supp(Q) may overflow to +inf.
             with np.errstate(invalid="ignore", over="ignore"):
-                expo = (1.0 / (1.0 + r))[:, None, None] * self.logsub + (r[:, None] * li - log_z[:, None])[:, None, :]
+                expo = (1.0 / (1.0 + r))[:, None, None] * self.logp + (r[:, None] * li - log_z[:, None])[:, None, :]
                 cells = np.where(reachable[:, None, :], np.exp(expo), 0.0)
             grad[inner] = -(1.0 + r)[:, None] * cells.sum(axis=2)
         return grad
 
 
-def _minimize_over_support(rate: float, support: tuple, p: Channel, resolution: int) -> float:
-    obj = _SupportObjective(rate, support, p)
+def _on_support(support, x: np.ndarray, nx: int) -> np.ndarray:
+    """Full-alphabet rows (..., nx) with ``x[..., k]`` on letter ``support[k]``
+    and zeros elsewhere."""
+    full = np.zeros(x.shape[:-1] + (nx,))
+    full[..., list(support)] = x
+    return full
+
+
+# Interior points per bracket and round of the two-letter zoom; each round
+# keeps two of their 17 steps.
+_ZOOM_POINTS = 16
+
+
+def _minimize_over_pairs(obj: _SupportObjective, pairs: list, resolution: int) -> np.ndarray:
+    """Minimum of Q -> E_c^ML over Q = (t, 1 - t) on each two-letter support
+    of ``pairs``, all pairs in lockstep.
+
+    The value is convex in t, so the neighbours of the argmin of any grid
+    bracket the minimum.  A start grid gives each pair its bracket; every round
+    evaluates ``_ZOOM_POINTS`` interior points of each live bracket in one
+    batch and keeps the two steps around the argmin, until the bracket is as
+    narrow as a 44-step golden section would leave it.
+    """
+    nx = obj.matrix.shape[0]
+    grid = np.linspace(0.0, 1.0, max(resolution, 5))
+
+    def values(ps, ts):  # ts (P, k) -> values (P, k)
+        rows = np.stack([_on_support(pair, np.stack([t, 1.0 - t], axis=-1), nx) for pair, t in zip(ps, ts)])
+        return obj.values_and_rhos(rows.reshape(-1, nx))[0].reshape(ts.shape)
+
+    ts = np.broadcast_to(grid, (len(pairs), grid.size))
+    fs = values(pairs, ts)
+    best = fs.min(axis=1)
+    live = np.arange(len(pairs))
+    interior = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
+    stop = None
+    while True:
+        # Each live row's bracket: the steps on either side of its argmin.
+        k = fs.argmin(axis=1)
+        rows = np.arange(live.size)
+        lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, ts.shape[1] - 1)
+        t_lo, t_hi, f_lo, f_hi = ts[rows, lo], ts[rows, hi], fs[rows, lo], fs[rows, hi]
+        if stop is None:
+            stop = (t_hi - t_lo) * _GOLDEN**44
+        keep = t_hi - t_lo > stop
+        if not keep.any():
+            return best
+        live, stop = live[keep], stop[keep]
+        t_lo, t_hi, f_lo, f_hi = t_lo[keep], t_hi[keep], f_lo[keep], f_hi[keep]
+        t_in = t_lo[:, None] + (t_hi - t_lo)[:, None] * interior
+        f_in = values([pairs[j] for j in live], t_in)
+        ts = np.column_stack((t_lo, t_in, t_hi))
+        fs = np.column_stack((f_lo, f_in, f_hi))
+        best[live] = np.minimum(best[live], f_in.min(axis=1))
+
+
+def _minimize_over_support(obj: _SupportObjective, support: tuple) -> float:
+    """Minimum of Q -> E_c^ML over Q on ``support`` (three or more letters)."""
     s = len(support)
-    if s == 1:
-        return obj.value_and_rho(np.array([1.0]))[0]
-    if s == 2:
-        def val(t):
-            return obj.value_and_rho(np.array([t, 1.0 - t]))[0]
-
-        ts = np.linspace(0.0, 1.0, max(resolution, 5))
-        vals = obj.values_and_rhos(np.stack([ts, 1.0 - ts], axis=1))[0].tolist()
-        i = int(np.argmin(vals))
-        _, ft = _golden_min(val, ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
-        return min(ft, min(vals))
-
+    nx = obj.matrix.shape[0]
     rng = np.random.default_rng(0)
     starts = [np.full(s, 1.0 / s)]
     starts += [rng.dirichlet(np.ones(s)) for _ in range(19)]
+
+    def values_and_rhos(x):
+        return obj.values_and_rhos(_on_support(support, x, nx))
+
+    def gradients(x, rho):
+        return obj.gradients(_on_support(support, x, nx), rho)[:, list(support)]
+
     # Projected-gradient descent with backtracking line search from every
     # start.  The starts run in lockstep, one candidate per live start per
     # round, each following the same steps as it would alone.
     x = np.array([project_simplex(np.asarray(x0)) for x0 in starts])
-    fx, rho = obj.values_and_rhos(x)
-    g = obj.gradients(x, rho)
+    fx, rho = values_and_rhos(x)
+    g = gradients(x, rho)
     step = np.full(len(starts), 0.5)
     moves = np.zeros(len(starts), dtype=int)
     live = np.arange(len(starts))
     while live.size:
         cand = np.array([project_simplex(v) for v in x[live] - step[live, None] * g[live]])
-        fc, rho_c = obj.values_and_rhos(cand)
+        fc, rho_c = values_and_rhos(cand)
         better = fc < fx[live] - 1e-12
         moved, failed = live[better], live[~better]
         x[moved], fx[moved] = cand[better], fc[better]
-        g[moved] = obj.gradients(cand[better], rho_c[better])
+        g[moved] = gradients(cand[better], rho_c[better])
         step[moved] = np.minimum(step[moved] * 1.5, 2.0)
         moves[moved] += 1
         step[failed] *= 0.5
@@ -802,19 +856,34 @@ def min_over_small_supports(rate: float, p: Channel, resolution: int = 24):
     """Minimum of E_c^ML(rate, Q) over all Q whose support has capacity < rate.
 
     Returns ``(value, worst_support)``; ``(inf, None)`` when no support
-    qualifies (e.g. rate = 0).
+    qualifies (e.g. rate = 0).  Singletons are evaluated in one batch and the
+    two-letter supports minimized in lockstep (``_minimize_over_pairs``);
+    larger supports run a projected descent each.  Supports are compared in
+    order of size, then lexicographically, and a later one is reported only
+    when strictly lower.
     """
     nx = p.num_inputs
     if nx > 6:
         raise ResourceLimitError(f"input alphabet {nx} exceeds 6")
+    supports = [
+        support
+        for size in range(1, nx + 1)
+        for support in combinations(range(nx), size)
+        if capacity(p, support) < rate
+    ]
+    obj = _SupportObjective(rate, p)
+    singles = [sup for sup in supports if len(sup) == 1]
+    pairs = [sup for sup in supports if len(sup) == 2]
+    vals = []
+    if singles:
+        vals += obj.values_and_rhos(np.eye(nx)[[sup[0] for sup in singles]])[0].tolist()
+    if pairs:
+        vals += _minimize_over_pairs(obj, pairs, resolution).tolist()
+    vals += [_minimize_over_support(obj, sup) for sup in supports[len(vals):]]
     best_val = math.inf
     best_support = None
-    for size in range(1, nx + 1):
-        for support in combinations(range(nx), size):
-            if capacity(p, support) >= rate:
-                continue
-            val = float(_minimize_over_support(rate, support, p, resolution))
-            if val < best_val:
-                best_val = val
-                best_support = support
+    for support, val in zip(supports, vals):
+        if val < best_val:
+            best_val = val
+            best_support = support
     return best_val, best_support

@@ -44,6 +44,9 @@ from .oracle import CompetitorClassTable, check_class_count, competitor_class_ta
 # index arrays), so the cap holds a literal block under about 300 MB.  A
 # sampled block draws one word, so it is held to n <= LITERAL_CELL_CAP.
 LITERAL_CELL_CAP = 2**24
+# Largest batch of ``fixed_q_event_counts``, in symbol cells m * trials * n of
+# its codebooks.
+TRIAL_CELL_CAP = 400_000_000
 
 
 class Scheme(Enum):
@@ -503,8 +506,11 @@ def fixed_q_event_counts(
 
     Used to validate the exact finite-n analyzer by Monte Carlo."""
     m = codebook_size(n, rate)
-    if m * trials * n > 400_000_000:
-        raise ResourceLimitError("trial batch too large")
+    if m * trials * n > TRIAL_CELL_CAP:
+        raise ResourceLimitError(
+            f"a trial batch of m * trials * n = {m} * {trials} * {n} symbol cells"
+            f" exceeds the cap TRIAL_CELL_CAP = {TRIAL_CELL_CAP}"
+        )
     rng = np.random.default_rng(seed)
     nx, ny = p.num_inputs, p.num_outputs
 

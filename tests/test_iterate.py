@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from nts.itcore import Channel, Distribution, JointDistribution, mutual_information
 from nts.exponents import capacity, e0, tilted_joint
+import nts.iterate
 from nts.iterate import (
     check_lower_than,
     fixed_rate_run,
@@ -130,6 +132,34 @@ class TestFixedRateRun:
             fixed_rate_run(UNIF, rate, BSC, max_iter=50)
 
 
+def _nan_at_step(monkeypatch, name: str, field: str, bad: int) -> None:
+    """Patch the step function ``name`` of nts.iterate so that the record of
+    step ``bad`` (counted from 0) has NaN in ``field``."""
+    step = getattr(nts.iterate, name)
+    calls = []
+
+    def patched(*args):
+        rec = step(*args)
+        calls.append(rec)
+        return dataclasses.replace(rec, **{field: math.nan}) if len(calls) - 1 == bad else rec
+
+    monkeypatch.setattr(f"nts.iterate.{name}", patched)
+
+
+class TestNonFiniteInsideTheLoop:
+    @pytest.mark.parametrize("field", ["exponent_before", "exponent_after"])
+    def test_fixed_rate_run_names_the_step(self, field, monkeypatch):
+        _nan_at_step(monkeypatch, "fixed_rate_step", field, 3)
+        with pytest.raises(ValueError, match="non-finite exponent nan at step 3"):
+            fixed_rate_run(Distribution(np.array([0.9, 0.1])), 0.5, ASYM, tol=1e-12, max_iter=50)
+
+    @pytest.mark.parametrize("field", ["objective_mid", "objective_after"])
+    def test_fixed_slope_run_names_the_step(self, field, monkeypatch):
+        _nan_at_step(monkeypatch, "fixed_slope_step", field, 3)
+        with pytest.raises(ValueError, match="non-finite objective nan at step 3"):
+            fixed_slope_run(Distribution(np.array([0.9, 0.1])), -0.5, ASYM, tol=1e-15, max_iter=50)
+
+
 class TestCheckLowerThan:
     def test_capacity_achieving_q_holds(self):
         rep = check_lower_than(UNIF, 0.3, BSC)
@@ -144,6 +174,25 @@ class TestCheckLowerThan:
         assert rep.holds
         assert rep.lhs == 0.0
         assert rep.rhs == pytest.approx(0.3, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "q0,rate,p",
+        [
+            # Q0 is the minimizer just above capacity: lhs and rhs are one
+            # value computed two ways, and lhs came out lower by roundoff.
+            (UNIF, 0.33, Channel.bsc(0.13)),
+            (UNIF, 0.5, BSC),
+            (Distribution(np.array([0.8, 0.2])), 0.5, BSC),
+            (Distribution.uniform(3), 0.775, Channel(np.full((3, 3), 0.05) + 0.85 * np.eye(3))),
+            (Distribution(np.array([0.5, 0.3, 0.2])), 0.9, Channel(np.full((3, 3), 0.05) + 0.85 * np.eye(3))),
+        ],
+    )
+    def test_never_holds_when_supp_q0_is_below_the_rate(self, q0, rate, p):
+        assert capacity(p, q0.support) < rate
+        rep = check_lower_than(q0, rate, p)
+        assert not rep.holds
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+        assert rep.rhs <= rep.lhs * (1 + 1e-9)
 
 
 class TestFixedSlope:

@@ -17,10 +17,15 @@ from nts.itcore import (
     compositions_iter,
     guarded_log,
 )
-from nts.exponents import _log_partition, correct_exponent_ml, error_exponent, tilted_joint
+from nts.exponents import _log_partition, capacity, correct_exponent_ml, error_exponent, tilted_joint
 from nts.oracle import (
+    TYPE_CAP,
     ImplicitKind,
+    _GOLDEN,
     _SupportObjective,
+    _golden_min,
+    _minimize_over_pairs,
+    _minimize_over_support,
     _output_metrics,
     cc_bound,
     competitor_class_table,
@@ -387,6 +392,18 @@ class TestExactProperties:
         assert math.fsum(rep.per_type_breakdown.probability.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestTypeCap:
+    def test_refusal_names_the_count_and_the_cap(self, monkeypatch):
+        # Nothing is enumerated: the count is checked first.
+        monkeypatch.setattr("nts.oracle.competitor_class_table", None)
+        p = Channel(np.full((3, 3), 1 / 3))
+        n = 1
+        while math.comb(n + 8, 8) <= TYPE_CAP:
+            n += 1
+        with pytest.raises(ResourceLimitError, match=f"{math.comb(n + 8, 8)} joint types at n = {n} exceed the cap TYPE_CAP = {TYPE_CAP}"):
+            exact_finite_n(n, 0.0, 0.1, Distribution.uniform(3), p)
+
+
 class TestMinOverSmallSupports:
     def test_identity_rate_03(self):
         val, support = min_over_small_supports(0.3, Channel(np.eye(2)))
@@ -406,8 +423,6 @@ class TestMinOverSmallSupports:
         rate = 0.4
         val, support = min_over_small_supports(rate, p)
         # brute-force check over a fine grid on every qualifying support
-        from nts.exponents import capacity
-
         best = math.inf
         for size in (1, 2, 3):
             for sup in itertools.combinations(range(3), size):
@@ -426,6 +441,96 @@ class TestMinOverSmallSupports:
         p = Channel(np.full((7, 2), 0.5))
         with pytest.raises(ResourceLimitError):
             min_over_small_supports(0.1, p)
+
+
+def _reference_pair_minimum(obj: _SupportObjective, pair: tuple, resolution: int = 24) -> float:
+    """The former per-pair search: a start grid, then a 44-step scalar golden
+    section on the bracket around its argmin."""
+    nx = obj.matrix.shape[0]
+
+    def rows(ts):
+        q = np.zeros((len(ts), nx))
+        q[:, pair[0]], q[:, pair[1]] = ts, 1.0 - np.asarray(ts)
+        return q
+
+    ts = np.linspace(0.0, 1.0, max(resolution, 5))
+    vals = obj.values_and_rhos(rows(ts))[0].tolist()
+    i = int(np.argmin(vals))
+    _, ft = _golden_min(lambda t: float(obj.values_and_rhos(rows([t]))[0][0]), ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
+    return min(ft, min(vals))
+
+
+@st.composite
+def channel_and_rate(draw):
+    """A random 2x2 to 3x3 channel, possibly with zero entries, and a rate
+    between 0.3 and 1.8 times its capacity."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.full(ny, 0.7), size=nx)
+    for x, y in draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), max_size=2)):
+        if np.count_nonzero(rows[x]) > 1:
+            rows[x, y] = 0.0
+    p = Channel(rows / rows.sum(axis=1, keepdims=True))
+    return p, capacity(p) * draw(st.floats(0.3, 1.8))
+
+
+class TestPairZoom:
+    @settings(max_examples=8, deadline=None)
+    @given(channel_and_rate())
+    def test_matches_the_scalar_search_and_the_grid(self, case):
+        p, rate = case
+        nx = p.num_inputs
+        obj = _SupportObjective(rate, p)
+        supports = [
+            sup for size in range(1, nx + 1) for sup in itertools.combinations(range(nx), size) if capacity(p, sup) < rate
+        ]
+        pairs = [sup for sup in supports if len(sup) == 2]
+        ref = {sup: _reference_pair_minimum(obj, sup) for sup in pairs}
+        if pairs:
+            got = _minimize_over_pairs(obj, pairs, 24)
+            for pair, val in zip(pairs, got.tolist()):
+                # E0 near capacity is a log of sums near 1, with an absolute
+                # roundoff of ~1e-16: the 1e-15 covers values down to ~1e-7.
+                assert val == pytest.approx(ref[pair], rel=1e-10, abs=1e-15)
+                for t in np.linspace(0.0, 1.0, 201):
+                    probs = np.zeros(nx)
+                    probs[pair[0]], probs[pair[1]] = t, 1.0 - t
+                    assert val <= correct_exponent_ml(rate, Distribution(probs), p).value + 1e-12
+
+        # The reference minimum over all supports, in the reporting order.
+        for sup in supports:
+            if len(sup) == 1:
+                ref[sup] = float(obj.values_and_rhos(np.eye(nx)[[sup[0]]])[0][0])
+            elif len(sup) > 2:
+                ref[sup] = _minimize_over_support(obj, sup)
+        ref_val, ref_support = math.inf, None
+        for sup in supports:
+            if ref[sup] < ref_val:
+                ref_val, ref_support = ref[sup], sup
+        val, support = min_over_small_supports(rate, p)
+        if not supports:  # a capacity-0 channel at rate 0
+            assert (val, support) == (math.inf, None)
+            return
+        assert val == pytest.approx(ref_val, rel=1e-10, abs=1e-15)
+        # Supports whose minima agree within that tolerance (a channel with
+        # two equal rows has mirror-image pairs) are tied, and roundoff picks
+        # among them; any other reference winner must be matched exactly.
+        tied = [sup for sup in supports if ref[sup] <= ref_val + 2e-10 * abs(ref_val) + 2e-15]
+        assert support == ref_support if len(tied) == 1 else support in tied
+
+    def test_brackets_as_narrow_as_the_golden_section(self, monkeypatch):
+        # Every round but the start grid evaluates 16 points per live pair;
+        # a bracket of width w shrinks to 2w/17 per round and stops at
+        # w0 * _GOLDEN**44, which takes 10 rounds from an interior start.
+        p = Channel(np.array([[0.85, 0.1, 0.05], [0.05, 0.9, 0.05], [0.1, 0.1, 0.8]]))
+        obj = _SupportObjective(1.0, p)
+        batches = []
+        values_and_rhos = obj.values_and_rhos
+        monkeypatch.setattr(obj, "values_and_rhos", lambda q: batches.append(len(q)) or values_and_rhos(q))
+        _minimize_over_pairs(obj, [(0, 1), (0, 2), (1, 2)], 24)
+        assert batches[0] == 3 * 24
+        assert set(batches[1:]) <= {16, 32, 48}
+        assert len(batches) - 1 == math.ceil(math.log(_GOLDEN**44) / math.log(2 / 17))
 
 
 class TestProjectSimplex:
@@ -459,7 +564,7 @@ class TestSupportGradient:
             p = Channel(rows)
             qs = rng.dirichlet(np.ones(3), size=4)
             rhos = rng.uniform(-0.9, -0.1, size=4)
-            grad = _SupportObjective(0.3, (0, 1, 2), p).gradients(qs, rhos)
+            grad = _SupportObjective(0.3, p).gradients(qs, rhos)
             logp = guarded_log(p.matrix, -np.inf)
             for q, rho, g in zip(qs, rhos, grad):
                 def e0(v):
@@ -470,7 +575,7 @@ class TestSupportGradient:
 
     def test_zero_at_the_rho_edges(self):
         qs = np.array([[0.3, 0.7], [0.5, 0.5]])
-        grad = _SupportObjective(0.3, (0, 1), BSC).gradients(qs, np.array([-1.0, 0.0]))
+        grad = _SupportObjective(0.3, BSC).gradients(qs, np.array([-1.0, 0.0]))
         assert np.array_equal(grad, np.zeros((2, 2)))
 
 

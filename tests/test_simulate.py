@@ -9,6 +9,7 @@ from nts.itcore import Channel, Distribution, ResourceLimitError, compositions_i
 from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n
 from nts.simulate import (
     LITERAL_CELL_CAP,
+    TRIAL_CELL_CAP,
     Scheme,
     SimConfig,
     _draw_by_cdf,
@@ -135,6 +136,11 @@ class TestCapsBeforeAnyBlock:
         monkeypatch.setattr("nts.simulate._block", _no_block)
         with pytest.raises(ResourceLimitError, match=f"n = {10**30} symbol cells exceeds the cap LITERAL_CELL_CAP"):
             nts_run(self._config(10**30, 1e-28, q0=Distribution.point_mass(2, 0)))
+
+    def test_trial_batch_names_the_cap(self):
+        cells = f"m \\* trials \\* n = 1 \\* 3 \\* {10**9} symbol cells"
+        with pytest.raises(ResourceLimitError, match=f"{cells} exceeds the cap TRIAL_CELL_CAP = {TRIAL_CELL_CAP}"):
+            fixed_q_event_counts(UNIF, BSC, 10**9, 0.0, 0.1, trials=3, seed=0)
 
     def test_balanced_received_type_has_the_most_classes(self):
         for s in range(1, 5):
