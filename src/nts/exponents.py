@@ -101,6 +101,13 @@ def _math_log(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, a.tolist()), dtype=float, count=a.size)
 
 
+def _e0_minus_one(q: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """E0(-1, Q) = -log sum_y max_{x in supp Q} P(y|x) for each row of a batch
+    of Q rows ``q`` (B, |X|), with ``matrix[x, y] = P(y|x)``."""
+    best = np.where(q[:, :, None] > 0, matrix, -np.inf).max(axis=1)
+    return -_math_log(best.sum(axis=1))
+
+
 def _masked_sum(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-row ``vals[b, mask[b]].sum()`` with numpy's summation order.
 
@@ -184,8 +191,7 @@ def e0(rho: float, q: Distribution, p: Channel) -> float:
     if rho < -1:
         raise ValueError(f"rho must be >= -1, got {rho}")
     if rho == -1:
-        best = p.matrix[q.support].max(axis=0)
-        return -math.log(best.sum())
+        return float(_e0_minus_one(q.probs[None], p.matrix)[0])
     logq, logp, _ = _kernel_inputs(q, p)
     return -float(_log_partition(np.array([float(rho)]), logq, logp)[-1][0])
 
@@ -432,11 +438,12 @@ def tilted_objective(joint: JointDistribution, q: Distribution, p: Channel, rho:
     return d1 + rho * d2
 
 
-def capacity(p: Channel, support=None, tol: float = 1e-9, max_iter: int = 100_000) -> float:
+def capacity(p: Channel, support=None) -> float:
     """Capacity (nats) of the channel restricted to the given input letters.
 
     Alternating maximization with the standard upper/lower capacity bounds as
-    the stopping rule: stops when the gap is at most ``tol``.
+    the stopping rule: stops when the gap is at most 1e-9, or after 100,000
+    steps.
     """
     if support is None:
         support = range(p.num_inputs)
@@ -452,13 +459,13 @@ def capacity(p: Channel, support=None, tol: float = 1e-9, max_iter: int = 100_00
 
     qvec = np.full(s, 1.0 / s)
     low = 0.0
-    for _ in range(max_iter):
+    for _ in range(100_000):
         r = qvec @ sub
         div = self_info - sub @ guarded_log(r, 0.0)  # D(P(.|x) || r) per row; zero-r outputs have P=0
         c = np.exp(div)
         low = math.log(float(qvec @ c))
         up = float(div.max())
-        if up - low <= tol:
+        if up - low <= 1e-9:
             return low
         qvec = qvec * c
         qvec /= qvec.sum()

@@ -172,9 +172,6 @@ class TypeWithDenominator:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    def joint(self) -> JointDistribution:
-        return JointDistribution(self.counts / self.n)
-
 
 def guarded_log(a, off: float) -> np.ndarray:
     """Elementwise log of the positive entries of ``a``, and ``off`` (0 or
@@ -272,22 +269,6 @@ def compositions_array(total: int, parts: int) -> np.ndarray:
     edges[:, 1:-1] = bars
     edges[:, -1] = slots
     return np.diff(edges, axis=1) - 1
-
-
-def enumerate_joint_types(
-    n: int, num_outputs: int, num_inputs: int, cap: int = 10_000_000
-) -> Iterator[TypeWithDenominator]:
-    """Stream every counts matrix of shape (|Y|, |X|) with total ``n``, once each."""
-    cells = num_outputs * num_inputs
-    count = num_compositions(n, cells)
-    if count > cap:
-        raise ResourceLimitError(
-            f"{count} joint types with denominator {n} over {num_outputs}x{num_inputs} "
-            f"exceeds the cap of {cap}"
-        )
-    for comp in compositions_iter(n, cells):
-        counts = np.asarray(comp, dtype=np.int64).reshape(num_outputs, num_inputs)
-        yield TypeWithDenominator(counts, n)
 
 
 def codebook_size(n: int, rate: float) -> int:

@@ -32,11 +32,15 @@ from .itcore import (
     num_compositions,
     xlogx,
 )
-from .exponents import _log_partition, _math_log, capacity
+from .exponents import _RHO_EDGE, _e0_minus_one, _log_partition, capacity
 
-# Coarse-sweep budget: the largest type denominator whose composition count
-# fits this cap is used; the descent refinement supplies final precision.
+# Coarse-sweep budget: the largest type denominator whose grid fits this cap
+# is used; the descent refinement supplies final precision.
 GRID_CAP = 200_000
+# Largest alphabet product |X| * |Y| that the grid minima sweep.
+GRID_CELL_CAP = 9
+# Smallest grid resolution (type denominator) the grid minima accept.
+MIN_RESOLUTION = 20
 # Exact penalty multiplier for the strict >= R constraint (its Lagrange
 # multiplier is at most 1 in the explicit-formula regime).
 _STRICT_PENALTY = 4.0
@@ -47,12 +51,28 @@ CLASS_CAP = 5_000_000
 # Largest number of (sent, received) joint types that ``exact_finite_n``
 # enumerates.
 TYPE_CAP = 10_000_000
+# Largest codebook size that ``exact_finite_n`` analyzes.
+EXACT_CODEBOOK_CAP = 2**30
+# Largest input alphabet that ``min_over_small_supports`` searches (it tries
+# every support).
+SUPPORT_INPUT_CAP = 6
 
 
 class ImplicitKind(Enum):
     ERROR_IID = "error_iid"
     CORRECT_ML = "correct_ml"
     CORRECT_STRICT = "correct_strict"
+
+
+# The metric term of each kind's objective: with g the metric (D(ToV || TxQ)
+# or I(QoW)) and excess = sign * (g - R), the refined objective is
+# d + weight * [excess]^+.  On the grid, CORRECT_STRICT is the feasibility
+# test excess <= 0 instead; its weight is the exact penalty of the refinement.
+_KIND_RULES = {
+    ImplicitKind.ERROR_IID: (1.0, 1.0),
+    ImplicitKind.CORRECT_ML: (-1.0, 1.0),
+    ImplicitKind.CORRECT_STRICT: (-1.0, _STRICT_PENALTY),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +187,60 @@ def _pgd_on_simplex(fg, x0: np.ndarray, iters: int = 400):
     return x, fx
 
 
-def _effective_denominator(resolution: int, cells: int, grid_cap: int) -> int:
-    d = resolution
-    while d > 1 and num_compositions(d, cells) > grid_cap:
-        d -= 1
-    return d
+def _grid_objective(kind: ImplicitKind, rate: float, d: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """The objective of ``kind`` over a grid with divergences ``d`` and metrics
+    ``metric``: d + weight * [excess]^+, or for CORRECT_STRICT d where the
+    constraint holds (excess <= 0) and +inf elsewhere.  NaN reads +inf."""
+    sign, weight = _KIND_RULES[kind]
+    with np.errstate(invalid="ignore"):
+        excess = sign * (metric - rate)
+        if kind is ImplicitKind.CORRECT_STRICT:
+            obj = np.where(excess <= 0.0, d, np.inf)
+        else:
+            obj = d + weight * np.maximum(excess, 0.0)
+    obj[np.isnan(obj)] = np.inf
+    return obj
+
+
+def _refined_objective(rule: tuple, rate: float, d: float, metric: float):
+    """(value, excess) at one point of the objective whose ``_KIND_RULES``
+    entry is ``rule``, in Python floats: d + weight * [excess]^+, the strict
+    constraint as a penalty."""
+    sign, weight = rule
+    excess = sign * (metric - rate)
+    return d + weight * max(excess, 0.0), excess
+
+
+def _grid_then_refine(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resolution: int,
+                      parts: int, rows: int, terms, refine) -> float:
+    """The skeleton of ``implicit_exponent`` and ``cc_bound``: checks the
+    alphabet and the resolution, sweeps every stack (N, rows, parts) of
+    ``rows`` simplex rows at the largest denominator <= resolution that fits
+    ``GRID_CAP``, with ``terms(grid)`` giving (d, metric), and returns +inf
+    when no grid point has a finite objective, else ``refine(x0, argmin)``:
+    x0 is the flattened grid argmin and ``argmin(k)`` that for kind k."""
+    nx, ny = p.num_inputs, p.num_outputs
+    if nx * ny > GRID_CELL_CAP:
+        raise ResourceLimitError(f"alphabet product {nx * ny} exceeds the cap GRID_CELL_CAP = {GRID_CELL_CAP}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least MIN_RESOLUTION = {MIN_RESOLUTION}")
+    if len(q) != nx:
+        raise ValueError("distribution/channel size mismatch")
+
+    den = resolution
+    while den > 1 and num_compositions(den, parts) ** rows > GRID_CAP:
+        den -= 1
+    grid = compositions_array(den, parts).astype(float) / den
+    grid = grid[np.indices((grid.shape[0],) * rows).reshape(rows, -1)].transpose(1, 0, 2)
+    d, metric = terms(grid)
+
+    def argmin(k: ImplicitKind):
+        obj = _grid_objective(k, rate, d, metric)
+        best = int(np.argmin(obj))
+        return grid[best].reshape(-1) if np.isfinite(obj[best]) else None
+
+    x0 = argmin(kind)
+    return math.inf if x0 is None else float(refine(x0, argmin))
 
 
 def _batch_terms(masses: np.ndarray, q: Distribution, p: Channel):
@@ -193,6 +262,8 @@ def _scalar_objective(kind: ImplicitKind, rate: float, q: Distribution, p: Chann
     qp_zero = qp == 0
     ny, nx = qp.shape
     floor = 1e-300
+    rule = _KIND_RULES[kind]
+    slope = rule[0] * rule[1]  # d(objective)/d(metric) where the excess is positive
 
     def fg(flat: np.ndarray):
         m = flat.reshape(ny, nx)
@@ -206,32 +277,21 @@ def _scalar_objective(kind: ImplicitKind, rate: float, q: Distribution, p: Chann
         logt = np.log(np.maximum(t, floor))
         tlogt = float((np.where(t > 0, t * logt, 0.0)).sum())
         g = mlogm - tlogt - float((m * logq[None, :]).sum())
+        value, excess = _refined_objective(rule, rate, d, g)
 
         grad_d = logm + 1.0 - logqp
         grad_d[qp_zero] = 1e6  # forbidden cells: repel
+        if excess < -1e-5:
+            return value, grad_d.ravel()
         grad_g = logm - logt[:, None] - logq[None, :]
         grad_g[qp_zero] = 0.0
+        grad_other = grad_d + slope * grad_g
 
-        # Each objective is max(D, D + c*(metric term)); near the kink use the
+        # Each objective is max(D, D + weight * excess); near the kink use the
         # minimum-norm point of the two branch gradients' convex hull (the
         # steepest-descent direction for a max of smooth functions).
-        if kind is ImplicitKind.ERROR_IID:
-            excess = g - rate
-            weight = 1.0
-            grad_other = grad_d + grad_g
-        elif kind is ImplicitKind.CORRECT_ML:
-            excess = rate - g
-            weight = 1.0
-            grad_other = grad_d - grad_g
-        else:
-            excess = rate - g
-            weight = _STRICT_PENALTY
-            grad_other = grad_d - _STRICT_PENALTY * grad_g
-        value = d + weight * max(excess, 0.0)
         if excess > 1e-5:
             grad = grad_other.ravel()
-        elif excess < -1e-5:
-            grad = grad_d.ravel()
         else:
             # Work in the simplex tangent space (centered gradients); raw
             # gradients carry constant components that the projection removes
@@ -249,64 +309,33 @@ def _scalar_objective(kind: ImplicitKind, rate: float, q: Distribution, p: Chann
     return fg
 
 
-def implicit_exponent(
-    kind: ImplicitKind,
-    rate: float,
-    q: Distribution,
-    p: Channel,
-    resolution: int,
-    grid_cap: int = GRID_CAP,
-) -> float:
+def implicit_exponent(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resolution: int) -> float:
     """Brute-force value of the implicit exponent expression selected by ``kind``.
 
     Sweeps joint types at the largest denominator <= resolution whose count
-    fits ``grid_cap``, then refines the best grid point by coordinate descent
+    fits ``GRID_CAP``, then refines the best grid point by coordinate descent
     with simplex projection.  For CORRECT_STRICT the feasible set is
     D(ToV || TxQ) >= rate; +inf is returned when no grid point is feasible.
     """
     nx, ny = p.num_inputs, p.num_outputs
-    cells = nx * ny
-    if cells > 9:
-        raise ResourceLimitError(f"alphabet product {cells} exceeds 9")
-    if resolution < 20:
-        raise ValueError("resolution must be at least 20")
-    if len(q) != nx:
-        raise ValueError("distribution/channel size mismatch")
 
-    d_eff = _effective_denominator(resolution, cells, grid_cap)
-    grid = compositions_array(d_eff, cells).astype(float) / d_eff
-    masses = grid.reshape(-1, ny, nx)
-    d, metric = _batch_terms(masses, q, p)
+    def refine(x0: np.ndarray, argmin) -> float:
+        _, value = _polish(kind, rate, q, p, x0)
+        if kind is ImplicitKind.CORRECT_STRICT:
+            # The strict feasible-set optimum sits on the kink of the penalized
+            # objective, where descent from the grid can stall; the minimum of
+            # the unconstrained |R - metric|^+ form shares it in the binding
+            # regime, so also polish from that (purely numerical) solution and
+            # keep the better of the two.
+            x_ml, _ = _polish(ImplicitKind.CORRECT_ML, rate, q, p, argmin(ImplicitKind.CORRECT_ML))
+            _, alt = _polish(kind, rate, q, p, x_ml)
+            value = min(value, alt)
+        return value
 
-    if kind is ImplicitKind.ERROR_IID:
-        with np.errstate(invalid="ignore"):
-            obj = d + np.maximum(metric - rate, 0.0)
-        obj[np.isnan(obj)] = np.inf
-    elif kind is ImplicitKind.CORRECT_ML:
-        with np.errstate(invalid="ignore"):
-            obj = d + np.maximum(rate - metric, 0.0)
-        obj[np.isnan(obj)] = np.inf
-    else:
-        obj = np.where(metric >= rate, d, np.inf)
-
-    best = int(np.argmin(obj))
-    if not np.isfinite(obj[best]):
-        return math.inf
-
-    x, value = _polish(kind, rate, q, p, grid[best])
-    if kind is ImplicitKind.CORRECT_STRICT:
-        # The strict feasible-set optimum sits on the kink of the penalized
-        # objective, where descent from the grid can stall; the minimum of the
-        # unconstrained |R - metric|^+ form shares it in the binding regime,
-        # so also polish from that (purely numerical) solution and keep the
-        # better of the two.
-        with np.errstate(invalid="ignore"):
-            obj_ml = d + np.maximum(rate - metric, 0.0)
-        obj_ml[np.isnan(obj_ml)] = np.inf
-        x_ml, _ = _polish(ImplicitKind.CORRECT_ML, rate, q, p, grid[int(np.argmin(obj_ml))])
-        _, alt = _polish(kind, rate, q, p, x_ml)
-        value = min(value, alt)
-    return float(value)
+    return _grid_then_refine(
+        kind, rate, q, p, resolution, nx * ny, 1,
+        lambda grid: _batch_terms(grid.reshape(-1, ny, nx), q, p), refine,
+    )
 
 
 def _polish(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, x0: np.ndarray):
@@ -345,60 +374,22 @@ def _cc_terms(w_batch: np.ndarray, q: Distribution, p: Channel):
     return d, mi
 
 
-def cc_bound(
-    kind: ImplicitKind,
-    rate: float,
-    q: Distribution,
-    p: Channel,
-    resolution: int,
-    grid_cap: int = GRID_CAP,
-) -> float:
+def cc_bound(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resolution: int) -> float:
     """Constant-composition counterpart: brute-force minimum over W(y|x) with
     the input marginal fixed to Q.  +inf for CORRECT_STRICT when I(QoW) >= rate
     is infeasible on the grid (e.g. rate above the entropy of Q)."""
-    nx, ny = p.num_inputs, p.num_outputs
-    if nx * ny > 9:
-        raise ResourceLimitError(f"alphabet product {nx * ny} exceeds 9")
-    if resolution < 20:
-        raise ValueError("resolution must be at least 20")
-
-    supp = q.support
-    s = supp.size
-    d_row = resolution
-    while d_row > 1 and num_compositions(d_row, ny) ** s > grid_cap:
-        d_row -= 1
-    rows = compositions_array(d_row, ny).astype(float) / d_row  # (nr, ny)
-    nr = rows.shape[0]
-    idx = np.indices((nr,) * s).reshape(s, -1)
-    w_batch = rows[idx].transpose(1, 0, 2)  # (N, s, ny)
-
-    d, mi = _cc_terms(w_batch, q, p)
-    if kind is ImplicitKind.ERROR_IID:
-        obj = d + np.maximum(mi - rate, 0.0)
-    elif kind is ImplicitKind.CORRECT_ML:
-        obj = d + np.maximum(rate - mi, 0.0)
-    else:
-        obj = np.where(mi >= rate, d, np.inf)
-    obj[np.isnan(obj)] = np.inf
-
-    best = int(np.argmin(obj))
-    if not np.isfinite(obj[best]):
-        return math.inf
+    ny = p.num_outputs
+    s = q.support.size
+    rule = _KIND_RULES[kind]
 
     def f(flat: np.ndarray) -> float:
-        w = flat.reshape(1, s, ny)
-        dv, miv = _cc_terms(w, q, p)
-        dv, miv = float(dv[0]), float(miv[0])
-        if not np.isfinite(dv):
-            return math.inf
-        if kind is ImplicitKind.ERROR_IID:
-            return dv + max(miv - rate, 0.0)
-        if kind is ImplicitKind.CORRECT_ML:
-            return dv + max(rate - miv, 0.0)
-        return dv + _STRICT_PENALTY * max(rate - miv, 0.0)
+        dv, miv = _cc_terms(flat.reshape(1, s, ny), q, p)
+        return _refined_objective(rule, rate, float(dv[0]), float(miv[0]))[0]
 
-    w, value = _refine_rows(f, w_batch[best].reshape(-1), ny)
-    return float(value)
+    return _grid_then_refine(
+        kind, rate, q, p, resolution, ny, s,
+        lambda grid: _cc_terms(grid, q, p), lambda x0, _: _refine_rows(f, x0, ny)[1],
+    )
 
 
 def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, step_tol: float = 1e-8,
@@ -501,6 +492,23 @@ def _output_product(parts: list, nx: int, dtype):
     return logp, metric, counts.reshape(-1, ny, nx)
 
 
+def _output_part(ry: int, cols: np.ndarray, logw: np.ndarray, logq: np.ndarray, n: int, logch=None):
+    """One output's part for ``_output_product``: the compositions of its count
+    ``ry`` over the letters ``cols``, their multinomial log-probabilities
+    under the letters' log weights ``logw``, and their metric shares (with the
+    letters' log Q ``logq``, or their log P(y|x) ``logch`` for the ML metric).
+    None when there are no letters but ``ry > 0``."""
+    if cols.size == 0:
+        return (np.zeros((1, 0), dtype=np.int64), cols, np.zeros(1), np.zeros(1)) if ry == 0 else None
+    comps = compositions_array(ry, cols.size)  # (k, len(cols))
+    logp = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logw
+    if logch is None:
+        metric = _output_metrics(comps, ry, logq, n)
+    else:
+        metric = loglik_metric(comps[:, None, :], n, logch[None])
+    return comps, cols, logp, metric
+
+
 def check_class_count(r, s: int, n: int) -> None:
     """Raise ``ResourceLimitError`` when a received word with output counts
     ``r`` has more than ``CLASS_CAP`` competitor classes over ``s`` letters."""
@@ -523,19 +531,10 @@ def competitor_class_table(r, q: Distribution, n: int, metric_channel: Channel |
     r = np.asarray(r, dtype=int)
     supp = q.support
     logq = np.log(q.probs[supp])
-    if metric_channel is not None:
-        logch = guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
+    logch = [None] * r.size if metric_channel is None else guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
     check_class_count(r, supp.size, n)
 
-    parts = []
-    for y, ry in enumerate(r.tolist()):
-        comps = compositions_array(ry, supp.size)  # (k, s)
-        logp = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logq
-        if metric_channel is not None:
-            met = loglik_metric(comps[:, None, :], n, logch[y : y + 1])
-        else:
-            met = _output_metrics(comps, ry, logq, n)
-        parts.append((comps, supp, logp, met))
+    parts = [_output_part(ry, supp, logq, logq, n, logch[y]) for y, ry in enumerate(r.tolist())]
     logp_all, metric_all, counts = _output_product(parts, q.probs.size, np.min_scalar_type(n))
 
     order = np.argsort(-metric_all, kind="stable")
@@ -612,15 +611,20 @@ def exact_finite_n(
     if delta < 0:
         raise ValueError("delta must be >= 0")
     m = codebook_size(n, rate)
-    if m > 2**30:
-        raise ResourceLimitError(f"codebook size {m} exceeds 2^30")
+    if m > EXACT_CODEBOOK_CAP:
+        raise ResourceLimitError(f"codebook size {m} exceeds the cap EXACT_CODEBOOK_CAP = {EXACT_CODEBOOK_CAP}")
     ny, nx = p.num_outputs, p.num_inputs
     types = num_compositions(n, ny * nx)
     if types > TYPE_CAP:
         raise ResourceLimitError(f"{types} joint types at n = {n} exceed the cap TYPE_CAP = {TYPE_CAP}")
 
+    # Joint types of the (sent, received) pair are per-output compositions
+    # over the cells with positive Q(x)P(y|x).
     qp = q.probs[None, :] * p.matrix.T  # (ny, nx)
     supp = q.support
+    allowed = [supp[qp[y, supp] > 0] for y in range(ny)]
+    logw = [np.log(qp[y, cols]) for y, cols in enumerate(allowed)]
+    logq = [np.log(q.probs[cols]) for cols in allowed]
     competitors = m - 1
 
     p_error = 0.0
@@ -630,21 +634,8 @@ def exact_finite_n(
     for r in compositions_iter(n, ny):
         r = np.asarray(r, dtype=int)
         table = competitor_class_table(r, q, n)
-
-        # Joint types of the (sent, received) pair with this received type:
-        # per-output compositions over cells with positive Q(x)P(y|x).
-        parts = []
-        for y in range(ny):
-            allowed = supp[qp[y, supp] > 0]
-            if allowed.size == 0:
-                if r[y] > 0:
-                    break
-                parts.append((np.zeros((1, 0), dtype=np.int64), allowed, np.zeros(1), np.zeros(1)))
-                continue
-            comps = compositions_array(int(r[y]), allowed.size)
-            logp = gammaln(r[y] + 1) - gammaln(comps + 1).sum(axis=1) + comps @ np.log(qp[y, allowed])
-            parts.append((comps, allowed, logp, _output_metrics(comps, r[y], np.log(q.probs[allowed]), n)))
-        if len(parts) < ny:
+        parts = [_output_part(ry, allowed[y], logw[y], logq[y], n) for y, ry in enumerate(r.tolist())]
+        if any(part is None for part in parts):
             continue  # a received output that supp(Q) cannot reach
 
         logp_all, metric_all, counts = _output_product(parts, nx, np.int64)
@@ -679,9 +670,6 @@ def exact_finite_n(
 # ---------------------------------------------------------------------------
 
 
-_RHO_EDGE_ORACLE = 1e-6
-
-
 class _SupportObjective:
     """Fast evaluator of Q -> E_c^ML(rate, Q) for full-alphabet Q rows.
 
@@ -708,7 +696,7 @@ class _SupportObjective:
         def g(rho):
             return -_log_partition(rho, logq, self.logp)[-1] - rho * self.rate
 
-        lo = np.full(q.shape[0], -1.0 + _RHO_EDGE_ORACLE)
+        lo = np.full(q.shape[0], -1.0 + _RHO_EDGE)
         hi = np.zeros(q.shape[0])
         c = hi - _GOLDEN * (hi - lo)
         d = lo + _GOLDEN * (hi - lo)
@@ -728,8 +716,7 @@ class _SupportObjective:
         # zero at rho = 0, and at rho = -1 it is -log sum_y max_{supp Q} P.
         at_zero = ~(val > 0.0)
         rho[at_zero], val[at_zero] = 0.0, 0.0
-        best = np.where(q[:, :, None] > 0, self.matrix, -np.inf).max(axis=1)
-        val_m1 = -_math_log(best.sum(axis=1)) + self.rate
+        val_m1 = _e0_minus_one(q, self.matrix) + self.rate
         at_m1 = val_m1 > val
         rho[at_m1], val[at_m1] = -1.0, val_m1[at_m1]
         return val, rho
@@ -764,6 +751,8 @@ def _on_support(support, x: np.ndarray, nx: int) -> np.ndarray:
     return full
 
 
+# Points of the start grid of the two-letter zoom.
+_PAIR_GRID = 24
 # Interior points per bracket and round of the two-letter zoom; each round
 # keeps two of their 17 steps.
 _ZOOM_POINTS = 16
@@ -852,7 +841,7 @@ def _minimize_over_support(obj: _SupportObjective, support: tuple) -> float:
     return best
 
 
-def min_over_small_supports(rate: float, p: Channel, resolution: int = 24):
+def min_over_small_supports(rate: float, p: Channel):
     """Minimum of E_c^ML(rate, Q) over all Q whose support has capacity < rate.
 
     Returns ``(value, worst_support)``; ``(inf, None)`` when no support
@@ -863,8 +852,8 @@ def min_over_small_supports(rate: float, p: Channel, resolution: int = 24):
     when strictly lower.
     """
     nx = p.num_inputs
-    if nx > 6:
-        raise ResourceLimitError(f"input alphabet {nx} exceeds 6")
+    if nx > SUPPORT_INPUT_CAP:
+        raise ResourceLimitError(f"input alphabet {nx} exceeds the cap SUPPORT_INPUT_CAP = {SUPPORT_INPUT_CAP}")
     supports = [
         support
         for size in range(1, nx + 1)
@@ -878,7 +867,7 @@ def min_over_small_supports(rate: float, p: Channel, resolution: int = 24):
     if singles:
         vals += obj.values_and_rhos(np.eye(nx)[[sup[0] for sup in singles]])[0].tolist()
     if pairs:
-        vals += _minimize_over_pairs(obj, pairs, resolution).tolist()
+        vals += _minimize_over_pairs(obj, pairs, _PAIR_GRID).tolist()
     vals += [_minimize_over_support(obj, sup) for sup in supports[len(vals):]]
     best_val = math.inf
     best_support = None

@@ -44,6 +44,8 @@ from .oracle import CompetitorClassTable, check_class_count, competitor_class_ta
 # index arrays), so the cap holds a literal block under about 300 MB.  A
 # sampled block draws one word, so it is held to n <= LITERAL_CELL_CAP.
 LITERAL_CELL_CAP = 2**24
+# Default largest codebook that a block materializes; larger ones are sampled.
+CODEBOOK_CAP = 2**20
 # Largest batch of ``fixed_q_event_counts``, in symbol cells m * trials * n of
 # its codebooks.
 TRIAL_CELL_CAP = 400_000_000
@@ -64,7 +66,7 @@ class SimConfig:
     channel_schedule: tuple
     seed: int
     scheme: Scheme = Scheme.MARGIN
-    codebook_cap: int = 2**20
+    codebook_cap: int = CODEBOOK_CAP
     use_ml_decoder: bool = False
 
     def __post_init__(self):
@@ -144,7 +146,7 @@ def _check_cells(words: int, n: int) -> None:
 
 
 def build_codebook(
-    q: Distribution, n: int, rate: float, rng: np.random.Generator, codebook_cap: int = 2**20
+    q: Distribution, n: int, rate: float, rng: np.random.Generator, codebook_cap: int = CODEBOOK_CAP
 ) -> np.ndarray:
     """M x n symbol array, entries i.i.d. ~ q, M = ceil(e^{n*rate}), in the
     narrowest unsigned dtype that holds |X|."""
@@ -474,7 +476,7 @@ def fixed_q_outcomes(
     blocks: int,
     seed: int,
     scheme: Scheme = Scheme.MARGIN,
-    codebook_cap: int = 2**20,
+    codebook_cap: int = CODEBOOK_CAP,
 ) -> tuple:
     """Independent single-block outcomes at a frozen codebook distribution.
 

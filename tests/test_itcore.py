@@ -14,7 +14,6 @@ from nts.itcore import (
     compositions_array,
     compositions_iter,
     empirical_joint_type,
-    enumerate_joint_types,
     kl_joint,
     mutual_information,
     num_compositions,
@@ -155,26 +154,6 @@ class TestEmpiricalType:
 
 
 class TestEnumeration:
-    def test_small_counts(self):
-        assert len(list(enumerate_joint_types(1, 2, 2))) == 4
-        types = list(enumerate_joint_types(2, 1, 2))
-        assert len(types) == 3
-        assert len(list(enumerate_joint_types(4, 2, 2))) == math.comb(7, 3)
-
-    def test_count_matches_multiset_coefficient(self):
-        for n, ny, nx in [(3, 2, 2), (5, 1, 3), (2, 3, 3)]:
-            got = sum(1 for _ in enumerate_joint_types(n, ny, nx))
-            assert got == num_compositions(n, ny * nx)
-
-    def test_each_type_normalizes(self):
-        for t in enumerate_joint_types(3, 2, 2):
-            j = t.joint()
-            assert abs(j.mass.sum() - 1) < 1e-12
-
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_joint_types(100, 3, 3, cap=1000))
-
     def test_compositions_array_matches_iter(self):
         arr = compositions_array(4, 3)
         assert arr.shape == (num_compositions(4, 3), 3)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import math
 
@@ -18,7 +20,12 @@ from nts.itcore import (
     guarded_log,
 )
 from nts.exponents import _log_partition, capacity, correct_exponent_ml, error_exponent, tilted_joint
+from nts import exponents, oracle
 from nts.oracle import (
+    EXACT_CODEBOOK_CAP,
+    GRID_CELL_CAP,
+    MIN_RESOLUTION,
+    SUPPORT_INPUT_CAP,
     TYPE_CAP,
     ImplicitKind,
     _GOLDEN,
@@ -66,19 +73,49 @@ class TestImplicitExponent:
             p = Channel(rng.dirichlet(np.ones(2), size=2))
             q = Distribution(rng.dirichlet(np.ones(2)))
             rate = float(rng.uniform(0.1, 0.5))
-            ml = implicit_exponent(ImplicitKind.CORRECT_ML, rate, q, p, 40)
-            strict = implicit_exponent(ImplicitKind.CORRECT_STRICT, rate, q, p, 40)
-            assert strict >= ml - 1e-6
+            for minimum in (implicit_exponent, cc_bound):
+                ml = minimum(ImplicitKind.CORRECT_ML, rate, q, p, 40)
+                strict = minimum(ImplicitKind.CORRECT_STRICT, rate, q, p, 40)
+                assert strict >= ml - 1e-6
 
     def test_alphabet_cap(self):
         p = Channel(np.full((4, 3), 1 / 3))
         q = Distribution.uniform(4)
-        with pytest.raises(ResourceLimitError):
-            implicit_exponent(ImplicitKind.ERROR_IID, 0.1, q, p, 30)
+        for minimum in (implicit_exponent, cc_bound):
+            with pytest.raises(ResourceLimitError, match=f"alphabet product 12 exceeds the cap GRID_CELL_CAP = {GRID_CELL_CAP}"):
+                minimum(ImplicitKind.ERROR_IID, 0.1, q, p, 30)
 
     def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            implicit_exponent(ImplicitKind.ERROR_IID, 0.1, UNIF, BSC, 10)
+        for minimum in (implicit_exponent, cc_bound):
+            with pytest.raises(ValueError, match=f"resolution must be at least MIN_RESOLUTION = {MIN_RESOLUTION}"):
+                minimum(ImplicitKind.ERROR_IID, 0.1, UNIF, BSC, MIN_RESOLUTION - 1)
+
+
+class TestOracleBoundary:
+    def test_cross_checks_run_without_the_exponents_module(self, monkeypatch):
+        # The brute-force minima and the exact analyzer are ground truth for
+        # the closed forms only while they use none of them.
+        def stub(*args, **kwargs):
+            raise AssertionError("the oracle called into nts.exponents")
+
+        for name, value in vars(exponents).items():
+            if inspect.isfunction(value) and value.__module__ == exponents.__name__:
+                monkeypatch.setattr(exponents, name, stub)
+        imported = [
+            alias.asname or alias.name
+            for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+            if isinstance(node, ast.ImportFrom) and node.module == "exponents"
+            for alias in node.names
+        ]
+        assert imported
+        for name in imported:
+            monkeypatch.setattr(oracle, name, stub)
+
+        for kind in ImplicitKind:
+            assert implicit_exponent(kind, 0.3, UNIF, BSC, 20) >= -1e-12
+            assert cc_bound(kind, 0.3, UNIF, BSC, 20) >= -1e-12
+        rep = exact_finite_n(6, 0.2, 0.1, UNIF, BSC)
+        assert rep.p_error + rep.p_correct_strict == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCcBound:
@@ -152,7 +189,8 @@ class TestExactFiniteN:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_codebook_size_cap(self):
-        with pytest.raises(ResourceLimitError):
+        m = codebook_size(4, 6.0)
+        with pytest.raises(ResourceLimitError, match=f"codebook size {m} exceeds the cap EXACT_CODEBOOK_CAP = {EXACT_CODEBOOK_CAP}"):
             exact_finite_n(4, 6.0, 0.0, UNIF, BSC)
 
 
@@ -439,7 +477,7 @@ class TestMinOverSmallSupports:
 
     def test_alphabet_cap(self):
         p = Channel(np.full((7, 2), 0.5))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=f"input alphabet 7 exceeds the cap SUPPORT_INPUT_CAP = {SUPPORT_INPUT_CAP}"):
             min_over_small_supports(0.1, p)
 
 
