@@ -241,7 +241,7 @@ def minus_one_family(q: Distribution, p: Channel) -> MinusOneFamily:
     return MinusOneFamily(
         t_minus1=Distribution(t),
         argmax_sets=tuple(argmax_sets),
-        e0_minus1=-math.log(total),
+        e0_minus1=float(_e0_minus_one(q.probs[None], p.matrix)[0]),
         r_minus=r_minus,
         r_plus=r_plus,
         v_minus=v_minus,

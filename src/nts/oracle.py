@@ -150,11 +150,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - cum[above[-1]], 0.0)
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 44):
+def _golden_min(fun, lo: float, hi: float):
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(44):
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -166,12 +166,12 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 44):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _pgd_on_simplex(fg, x0: np.ndarray, iters: int = 400):
+def _pgd_on_simplex(fg, x0: np.ndarray):
     """Projected (sub)gradient descent with backtracking on the simplex."""
     x = x0.copy()
     fx, g = fg(x)
     step = 0.5
-    for _ in range(iters):
+    for _ in range(400):
         improved = False
         while step > 1e-13:
             cand = project_simplex(x - step * g)
@@ -218,7 +218,9 @@ def _grid_then_refine(kind: ImplicitKind, rate: float, q: Distribution, p: Chann
     ``rows`` simplex rows at the largest denominator <= resolution that fits
     ``GRID_CAP``, with ``terms(grid)`` giving (d, metric), and returns +inf
     when no grid point has a finite objective, else ``refine(x0, argmin)``:
-    x0 is the flattened grid argmin and ``argmin(k)`` that for kind k."""
+    x0 is the flattened grid argmin and ``argmin(k)`` that for kind k.  The
+    objective is a divergence plus a penalty that is never negative, so a
+    negative refined minimum is roundoff and is returned as 0."""
     nx, ny = p.num_inputs, p.num_outputs
     if nx * ny > GRID_CELL_CAP:
         raise ResourceLimitError(f"alphabet product {nx * ny} exceeds the cap GRID_CELL_CAP = {GRID_CELL_CAP}")
@@ -240,7 +242,7 @@ def _grid_then_refine(kind: ImplicitKind, rate: float, q: Distribution, p: Chann
         return grid[best].reshape(-1) if np.isfinite(obj[best]) else None
 
     x0 = argmin(kind)
-    return math.inf if x0 is None else float(refine(x0, argmin))
+    return math.inf if x0 is None else max(float(refine(x0, argmin)), 0.0)
 
 
 def _batch_terms(masses: np.ndarray, q: Distribution, p: Channel):
@@ -392,11 +394,10 @@ def cc_bound(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resol
     )
 
 
-def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, step_tol: float = 1e-8,
-                 max_sweeps: int = 200):
+def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, max_sweeps: int = 200):
     """Cyclic coordinate descent over a stack of simplex rows: per coordinate,
     line-minimize over [-bracket, bracket] with per-row projection; stops when
-    a full sweep moves less than step_tol."""
+    a full sweep moves less than 1e-8."""
     x = x0.copy()
     fx = f(x)
     nrows = x.size // row_len
@@ -421,7 +422,7 @@ def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, step_tol
                     moved = max(moved, float(np.abs(row - x[sl]).sum()))
                     x[sl] = row
                     fx = ft
-        if moved < step_tol and f_start - fx < 1e-12:
+        if moved < 1e-8 and f_start - fx < 1e-12:
             break
     return x, fx
 
@@ -633,10 +634,10 @@ def exact_finite_n(
     blocks = []
     for r in compositions_iter(n, ny):
         r = np.asarray(r, dtype=int)
-        table = competitor_class_table(r, q, n)
         parts = [_output_part(ry, allowed[y], logw[y], logq[y], n) for y, ry in enumerate(r.tolist())]
         if any(part is None for part in parts):
             continue  # a received output that supp(Q) cannot reach
+        table = competitor_class_table(r, q, n)
 
         logp_all, metric_all, counts = _output_product(parts, nx, np.int64)
         # Per-output factors above are r_y-multinomials; the factor below
@@ -802,43 +803,29 @@ def _minimize_over_pairs(obj: _SupportObjective, pairs: list, resolution: int) -
 
 
 def _minimize_over_support(obj: _SupportObjective, support: tuple) -> float:
-    """Minimum of Q -> E_c^ML over Q on ``support`` (three or more letters)."""
-    s = len(support)
+    """Minimum of Q -> E_c^ML over Q on ``support`` (three or more letters):
+    one projected descent from the uniform point, enough since the objective
+    is convex.  For rho in (-1, 0), Z(Q) = sum_y (sum_x Q(x) P(y|x)^g)^(1+rho)
+    with g = 1/(1+rho) is concave, so E0(rho, .) = -log Z is convex; E0(0, .)
+    = 0 and E0(-1, .), a function of supp(Q) that never grows with it, are
+    convex too, and so is E_c^ML = max_rho [E0(rho, .) - rho R].
+
+    A step onto a face F of the support where rho* = -1 is refused: the
+    gradient vanishes there, so the descent would stop, and the value
+    E0(-1, F) + R is the minimum over F's interior (no Q with support F is
+    lower).  F has capacity below R whenever the support does, so
+    ``min_over_small_supports`` finds that value with F's own search."""
     nx = obj.matrix.shape[0]
-    rng = np.random.default_rng(0)
-    starts = [np.full(s, 1.0 / s)]
-    starts += [rng.dirichlet(np.ones(s)) for _ in range(19)]
+    cols = list(support)
 
-    def values_and_rhos(x):
-        return obj.values_and_rhos(_on_support(support, x, nx))
+    def fg(x):
+        q = _on_support(support, x[None], nx)
+        value, rho = obj.values_and_rhos(q)
+        if rho[0] == -1.0 and not x.all():
+            return math.inf, None
+        return float(value[0]), obj.gradients(q, rho)[0, cols]
 
-    def gradients(x, rho):
-        return obj.gradients(_on_support(support, x, nx), rho)[:, list(support)]
-
-    # Projected-gradient descent with backtracking line search from every
-    # start.  The starts run in lockstep, one candidate per live start per
-    # round, each following the same steps as it would alone.
-    x = np.array([project_simplex(np.asarray(x0)) for x0 in starts])
-    fx, rho = values_and_rhos(x)
-    g = gradients(x, rho)
-    step = np.full(len(starts), 0.5)
-    moves = np.zeros(len(starts), dtype=int)
-    live = np.arange(len(starts))
-    while live.size:
-        cand = np.array([project_simplex(v) for v in x[live] - step[live, None] * g[live]])
-        fc, rho_c = values_and_rhos(cand)
-        better = fc < fx[live] - 1e-12
-        moved, failed = live[better], live[~better]
-        x[moved], fx[moved] = cand[better], fc[better]
-        g[moved] = gradients(cand[better], rho_c[better])
-        step[moved] = np.minimum(step[moved] * 1.5, 2.0)
-        moves[moved] += 1
-        step[failed] *= 0.5
-        live = np.sort(np.concatenate((moved[moves[moved] < 120], failed[step[failed] > 1e-10])))
-    best = math.inf
-    for f in fx.tolist():
-        best = min(best, f)
-    return best
+    return _pgd_on_simplex(fg, np.full(len(support), 1.0 / len(support)))[1]
 
 
 def min_over_small_supports(rate: float, p: Channel):
@@ -847,9 +834,9 @@ def min_over_small_supports(rate: float, p: Channel):
     Returns ``(value, worst_support)``; ``(inf, None)`` when no support
     qualifies (e.g. rate = 0).  Singletons are evaluated in one batch and the
     two-letter supports minimized in lockstep (``_minimize_over_pairs``);
-    larger supports run a projected descent each.  Supports are compared in
-    order of size, then lexicographically, and a later one is reported only
-    when strictly lower.
+    larger supports run one projected descent each (``_minimize_over_support``).
+    Supports are compared in order of size, then lexicographically, and a
+    later one is reported only when strictly lower.
     """
     nx = p.num_inputs
     if nx > SUPPORT_INPUT_CAP:

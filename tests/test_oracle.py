@@ -33,6 +33,7 @@ from nts.oracle import (
     _golden_min,
     _minimize_over_pairs,
     _minimize_over_support,
+    _on_support,
     _output_metrics,
     cc_bound,
     competitor_class_table,
@@ -112,10 +113,17 @@ class TestOracleBoundary:
             monkeypatch.setattr(oracle, name, stub)
 
         for kind in ImplicitKind:
-            assert implicit_exponent(kind, 0.3, UNIF, BSC, 20) >= -1e-12
-            assert cc_bound(kind, 0.3, UNIF, BSC, 20) >= -1e-12
+            assert implicit_exponent(kind, 0.3, UNIF, BSC, 20) >= 0
+            assert cc_bound(kind, 0.3, UNIF, BSC, 20) >= 0
         rep = exact_finite_n(6, 0.2, 0.1, UNIF, BSC)
         assert rep.p_error + rep.p_correct_strict == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_exponent_is_exactly_zero(self):
+        # Rate 0.3 is below I(Q o P) of BSC(0.1), so both correct-decoding
+        # minima are zero; the refinement used to end at -2.2e-16.
+        for kind in (ImplicitKind.CORRECT_ML, ImplicitKind.CORRECT_STRICT):
+            assert implicit_exponent(kind, 0.3, UNIF, BSC, 60) == 0.0
+            assert cc_bound(kind, 0.3, UNIF, BSC, 60) == 0.0
 
 
 class TestCcBound:
@@ -187,6 +195,17 @@ class TestExactFiniteN:
         rep = exact_finite_n(4, 0.3, 0.1, Distribution(np.array([0.7, 0.3])), BSC)
         total = float(rep.per_type_breakdown.probability.sum())
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_builds_a_class_table_only_for_reachable_received_types(self, monkeypatch):
+        # Output 2 is unreachable from supp(Q) = {0}: of the 91 received types
+        # at n = 12, only the 13 with no output-2 symbol occur.
+        p = Channel(np.array([[0.9, 0.1, 0.0], [0.1, 0.0, 0.9]]))
+        built = []
+        build = oracle.competitor_class_table
+        monkeypatch.setattr(oracle, "competitor_class_table", lambda r, *args: built.append(r) or build(r, *args))
+        rep = exact_finite_n(12, 0.1, 0.1, Distribution(np.array([1.0, 0.0])), p)
+        assert len(built) == 13
+        assert len(rep.per_type_breakdown) == 13
 
     def test_codebook_size_cap(self):
         m = codebook_size(4, 6.0)
@@ -498,17 +517,23 @@ def _reference_pair_minimum(obj: _SupportObjective, pair: tuple, resolution: int
     return min(ft, min(vals))
 
 
-@st.composite
-def channel_and_rate(draw):
-    """A random 2x2 to 3x3 channel, possibly with zero entries, and a rate
-    between 0.3 and 1.8 times its capacity."""
-    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+def _random_channel(draw, inputs, outputs):
+    """A random channel with ``inputs`` x ``outputs`` letters drawn from the
+    given strategies, with up to two zero entries."""
+    nx, ny = draw(inputs), draw(outputs)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.dirichlet(np.full(ny, 0.7), size=nx)
     for x, y in draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), max_size=2)):
         if np.count_nonzero(rows[x]) > 1:
             rows[x, y] = 0.0
-    p = Channel(rows / rows.sum(axis=1, keepdims=True))
+    return Channel(rows / rows.sum(axis=1, keepdims=True)), rng
+
+
+@st.composite
+def channel_and_rate(draw):
+    """A random 2x2 to 3x3 channel, possibly with zero entries, and a rate
+    between 0.3 and 1.8 times its capacity."""
+    p, _ = _random_channel(draw, st.integers(2, 3), st.integers(2, 3))
     return p, capacity(p) * draw(st.floats(0.3, 1.8))
 
 
@@ -569,6 +594,102 @@ class TestPairZoom:
         assert batches[0] == 3 * 24
         assert set(batches[1:]) <= {16, 32, 48}
         assert len(batches) - 1 == math.ceil(math.log(_GOLDEN**44) / math.log(2 / 17))
+
+
+def _reference_support_minimum(obj: _SupportObjective, support: tuple) -> float:
+    """The former search over a support of three or more letters: projected
+    descents from the uniform point and 19 seeded Dirichlet starts, run in
+    lockstep, keeping the lowest end value."""
+    s = len(support)
+    nx = obj.matrix.shape[0]
+    rng = np.random.default_rng(0)
+    starts = [np.full(s, 1.0 / s)] + [rng.dirichlet(np.ones(s)) for _ in range(19)]
+
+    def values_and_rhos(x):
+        return obj.values_and_rhos(_on_support(support, x, nx))
+
+    def gradients(x, rho):
+        return obj.gradients(_on_support(support, x, nx), rho)[:, list(support)]
+
+    x = np.array([project_simplex(np.asarray(x0)) for x0 in starts])
+    fx, rho = values_and_rhos(x)
+    g = gradients(x, rho)
+    step = np.full(len(starts), 0.5)
+    moves = np.zeros(len(starts), dtype=int)
+    live = np.arange(len(starts))
+    while live.size:
+        cand = np.array([project_simplex(v) for v in x[live] - step[live, None] * g[live]])
+        fc, rho_c = values_and_rhos(cand)
+        better = fc < fx[live] - 1e-12
+        moved, failed = live[better], live[~better]
+        x[moved], fx[moved] = cand[better], fc[better]
+        g[moved] = gradients(cand[better], rho_c[better])
+        step[moved] = np.minimum(step[moved] * 1.5, 2.0)
+        moves[moved] += 1
+        step[failed] *= 0.5
+        live = np.sort(np.concatenate((moved[moves[moved] < 120], failed[step[failed] > 1e-10])))
+    return float(fx.min())
+
+
+@st.composite
+def channel_rate_and_segment(draw):
+    """A random 3x2 to 4x3 channel with zero entries, a rate between 0.3 and
+    1.8 times its capacity, two full-support Q rows and a mixing weight."""
+    p, rng = _random_channel(draw, st.integers(3, 4), st.integers(2, 3))
+    a, b = rng.dirichlet(np.ones(p.num_inputs), size=2)
+    return p, capacity(p) * draw(st.floats(0.3, 1.8)), a, b, draw(st.floats(0.0, 1.0))
+
+
+@st.composite
+def channel_above_capacity(draw):
+    """A random 3x2 to 4x3 channel with zero entries and a rate between 1.05
+    and 1.8 times its capacity, so that every support qualifies."""
+    p, _ = _random_channel(draw, st.integers(3, 4), st.integers(2, 3))
+    return p, capacity(p) * draw(st.floats(1.05, 1.8))
+
+
+class TestSupportDescent:
+    @settings(max_examples=60, deadline=None)
+    @given(channel_rate_and_segment())
+    def test_objective_is_convex(self, case):
+        # The single descent of _minimize_over_support rests on this.
+        p, rate, a, b, t = case
+        vals = _SupportObjective(rate, p).values_and_rhos(np.array([a, b, t * a + (1.0 - t) * b]))[0]
+        assert vals[2] <= t * vals[0] + (1.0 - t) * vals[1] + 1e-12
+
+    @settings(max_examples=6, deadline=None)
+    @given(channel_above_capacity())
+    def test_no_higher_than_the_multi_start_descent(self, case):
+        p, rate = case
+        nx = p.num_inputs
+        obj = _SupportObjective(rate, p)
+        supports = [sup for size in range(1, nx + 1) for sup in itertools.combinations(range(nx), size)]
+        pairs = [sup for sup in supports if len(sup) == 2]
+        vals = {(x,): float(v) for x, v in enumerate(obj.values_and_rhos(np.eye(nx))[0])}
+        vals.update(zip(pairs, _minimize_over_pairs(obj, pairs, 24).tolist()))
+        larger = [sup for sup in supports if len(sup) > 2]
+        vals.update((sup, _minimize_over_support(obj, sup)) for sup in larger)
+        for sup in larger:
+            # The descent refuses steps onto a face where rho* = -1, whose
+            # value is the face's own minimum: there the face's search
+            # matches the reference.
+            covered = min(val for face, val in vals.items() if set(face) <= set(sup))
+            assert covered <= _reference_support_minimum(obj, sup) * (1 + 1e-14)
+
+    def test_steps_around_a_face_where_rho_is_minus_one(self):
+        # From the uniform point, a step onto the face {0, 3} lowers the value
+        # to that face's minimum, where rho* = -1 and the gradient vanishes;
+        # the minimum over {0, 1, 3} lies inside the support and is lower.
+        rows = np.array([
+            [0.04101044, 0.93846737, 0.02052219],
+            [0.01755113, 0.46990157, 0.51254729],
+            [0.18559906, 0.76333701, 0.05106393],
+            [0.44679148, 0.05472800, 0.49848052],
+        ])
+        obj = _SupportObjective(0.7104648427880704, Channel(rows / rows.sum(axis=1, keepdims=True)))
+        val = _minimize_over_support(obj, (0, 1, 3))
+        assert val <= _reference_support_minimum(obj, (0, 1, 3)) * (1 + 1e-14)
+        assert val < _minimize_over_pairs(obj, [(0, 3)], 24)[0] - 5e-4
 
 
 class TestProjectSimplex:
