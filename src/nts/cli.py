@@ -27,7 +27,15 @@ from .exponents import (
     error_exponent_sweep,
     minus_one_family,
 )
-from .oracle import ExactFiniteNReport, ImplicitKind, cc_bound, exact_finite_n, implicit_exponent
+from .oracle import (
+    ExactFiniteNReport,
+    ImplicitKind,
+    cc_bound,
+    conditional_sweep,
+    exact_finite_n,
+    implicit_exponent,
+    joint_sweep,
+)
 from .iterate import check_lower_than, fixed_rate_run, fixed_slope_run
 from .simulate import Scheme, SimConfig, nts_run
 
@@ -303,23 +311,26 @@ def _cmd_iterate_slope(channel: Channel, q0: Distribution, params: dict, out_dir
 
 def _cmd_oracle(channel: Channel, q0: Distribution, params: dict, out_dir: str) -> list:
     rate = float(_need(params, "rate", "oracle"))
+    strict = correct_exponent_strict(rate, q0, channel)
+    explicit = {
+        ImplicitKind.ERROR_IID: error_exponent(rate, q0, channel).value,
+        ImplicitKind.CORRECT_ML: correct_exponent_ml(rate, q0, channel).value,
+        ImplicitKind.CORRECT_STRICT: None if isinstance(strict, StrictDomainReport) else strict.value,
+    }
+    # One grid per minimum serves every kind; the joint one is dropped before
+    # the conditional one is built.
+    sweep = joint_sweep(q0, channel, _ORACLE_RESOLUTION)
     rows = []
+    for kind, value in explicit.items():
+        implicit = implicit_exponent(kind, rate, sweep)
+        diff = None if value is None or not math.isfinite(implicit) else abs(implicit - value)
+        rows.append((kind.value, rate, value, implicit if math.isfinite(implicit) else None, diff))
+    del sweep
+    sweep = conditional_sweep(q0, channel, _ORACLE_RESOLUTION)
     cc_rows = []
-    for kind, explicit in (
-        (ImplicitKind.ERROR_IID, error_exponent(rate, q0, channel).value),
-        (ImplicitKind.CORRECT_ML, correct_exponent_ml(rate, q0, channel).value),
-        (
-            ImplicitKind.CORRECT_STRICT,
-            (lambda r: None if isinstance(r, StrictDomainReport) else r.value)(
-                correct_exponent_strict(rate, q0, channel)
-            ),
-        ),
-    ):
-        implicit = implicit_exponent(kind, rate, q0, channel, _ORACLE_RESOLUTION)
-        diff = None if explicit is None or not math.isfinite(implicit) else abs(implicit - explicit)
-        rows.append((kind.value, rate, explicit, implicit if math.isfinite(implicit) else None, diff))
-        cc = cc_bound(kind, rate, q0, channel, _ORACLE_RESOLUTION)
-        cc_rows.append((kind.value, rate, cc if math.isfinite(cc) else None, explicit))
+    for kind, value in explicit.items():
+        cc = cc_bound(kind, rate, sweep)
+        cc_rows.append((kind.value, rate, cc if math.isfinite(cc) else None, value))
 
     compare_path = os.path.join(out_dir, "oracle_compare.csv")
     _write_csv(compare_path, ["kind", "rate", "explicit", "implicit", "abs_diff"], rows)
@@ -369,10 +380,11 @@ def _exact_json(report: ExactFiniteNReport) -> str:
     layout = json.dumps(sample, indent=2, sort_keys=True).replace('"%d"', "%d").replace('"%r"', "%r")
     template = "\n".join("    " + line for line in layout.splitlines())
     columns = (table.p_correct_strict, table.p_fail_strict, table.p_feedback1, table.probability)
-    rows = ",\n".join(
-        template % (*counts, *values)
-        for counts, *values in zip(table.counts.reshape(len(table), -1).tolist(), *(c.tolist() for c in columns))
-    )
+    # One row of Python ints and floats per type, formatted by one %.
+    cells = np.empty((len(table), nx * ny + len(columns)), dtype=object)
+    cells[:, : nx * ny] = table.counts.reshape(len(table), -1)
+    cells[:, nx * ny :] = np.column_stack(columns)
+    rows = ",\n".join([template] * len(table)) % tuple(cells.ravel().tolist())
     return header[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
 
 

@@ -2,9 +2,10 @@
 
 The cross-checks use none of the tilted closed forms: the implicit exponents
 are minimized numerically over joint types (grid sweep at a type denominator,
-then coordinate descent with simplex projection), the constant-composition
-bounds are minimized over channel conditionals, and finite-blocklength event
-probabilities are computed exactly by enumerating types.  The
+then projected-gradient and coordinate descent), the constant-composition
+bounds minimize the same objective over the joint masses Q(x) W(y|x), one
+channel conditional W per point, and finite-blocklength event probabilities
+are computed exactly by enumerating types.  The
 convergence-condition right-hand side is a brute-force minimum over small
 supports; it is not a cross-check, and it evaluates E0 with the tilted kernel
 of the exponents module.
@@ -132,7 +133,7 @@ def loglik_metric(counts, n: int, logp: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# implicit exponents: grid over joint types + local refinement
+# implicit exponents and constant-composition bounds: grid sweep + polish
 # ---------------------------------------------------------------------------
 
 
@@ -150,31 +151,72 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - cum[above[-1]], 0.0)
 
 
+def _project_rows(v: np.ndarray) -> np.ndarray:
+    """``project_simplex`` of each row of ``v`` (B, n), bit for bit."""
+    n = v.shape[1]
+    a = -np.sort(-v, axis=1)
+    cum = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, n + 1)
+    above = a > cum
+    last = n - 1 - np.argmax(above[:, ::-1], axis=1)
+    out = np.maximum(v - cum[np.arange(v.shape[0]), last][:, None], 0.0)
+    stuck = ~above.any(axis=1)
+    if stuck.any():
+        out[stuck] = _project_rows(v[stuck] - v[stuck].max(axis=1, keepdims=True))
+    return out
+
+
+def _golden_step(lo: float, hi: float, c: float, d: float, left: bool):
+    """One golden-section step on the bracket [lo, hi] with interior points
+    c < d: keep [lo, d] (``left``) or [c, hi], and place the new interior
+    point.  Returns the new (lo, hi, c, d)."""
+    if left:
+        hi, d = d, c
+        return lo, hi, hi - _GOLDEN * (hi - lo), d
+    lo, c = c, d
+    return lo, hi, c, lo + _GOLDEN * (hi - lo)
+
+
+# Directions of the steps of one look-ahead tree after its root: step k is
+# followed by step 2k + 1, which keeps the left side, and by step 2k + 2.
+_TREE_LEFT = [True, False] * 7
+
+
 def _golden_min(fun, lo: float, hi: float):
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(44):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fun(d)
+    """Golden-section search for a minimum of ``fun`` on [lo, hi]: 44 steps,
+    each keeping the side of the lower interior value (the left one on
+    ties).  Returns (point, value).
+
+    ``fun`` maps an array of points to an array of their values.  Each call
+    takes every point that the next four steps could place (1 + 2 + 4 + 8),
+    then the steps follow the actual comparisons: the search places the
+    points of a one-point-per-call search, bit for bit, in 12 calls instead
+    of 46."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = fun(np.array([c, d])).tolist()
+    for _ in range(11):
+        lefts = [fc <= fd] + _TREE_LEFT
+        tree = [_golden_step(lo, hi, c, d, lefts[0])]
+        for k in range(7):
+            tree += [_golden_step(*tree[k], True), _golden_step(*tree[k], False)]
+        values = fun(np.array([s[2] if left else s[3] for s, left in zip(tree, lefts)])).tolist()
+        k = 0
+        for _ in range(4):
+            lo, hi, c, d = tree[k]
+            fc, fd = (values[k], fc) if lefts[k] else (fd, values[k])
+            k = 2 * k + (1 if fc <= fd else 2)
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _pgd_on_simplex(fg, x0: np.ndarray):
-    """Projected (sub)gradient descent with backtracking on the simplex."""
+def _pgd_on_simplex(fg, x0: np.ndarray, project=project_simplex):
+    """Projected (sub)gradient descent with backtracking on the simplex, or
+    on the set that ``project`` projects onto."""
     x = x0.copy()
     fx, g = fg(x)
     step = 0.5
     for _ in range(400):
         improved = False
         while step > 1e-13:
-            cand = project_simplex(x - step * g)
+            cand = project(x - step * g)
             fc, gc = fg(cand)
             if fc < fx - 1e-15:
                 x, fx, g = cand, fc, gc
@@ -202,49 +244,6 @@ def _grid_objective(kind: ImplicitKind, rate: float, d: np.ndarray, metric: np.n
     return obj
 
 
-def _refined_objective(rule: tuple, rate: float, d: float, metric: float):
-    """(value, excess) at one point of the objective whose ``_KIND_RULES``
-    entry is ``rule``, in Python floats: d + weight * [excess]^+, the strict
-    constraint as a penalty."""
-    sign, weight = rule
-    excess = sign * (metric - rate)
-    return d + weight * max(excess, 0.0), excess
-
-
-def _grid_then_refine(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resolution: int,
-                      parts: int, rows: int, terms, refine) -> float:
-    """The skeleton of ``implicit_exponent`` and ``cc_bound``: checks the
-    alphabet and the resolution, sweeps every stack (N, rows, parts) of
-    ``rows`` simplex rows at the largest denominator <= resolution that fits
-    ``GRID_CAP``, with ``terms(grid)`` giving (d, metric), and returns +inf
-    when no grid point has a finite objective, else ``refine(x0, argmin)``:
-    x0 is the flattened grid argmin and ``argmin(k)`` that for kind k.  The
-    objective is a divergence plus a penalty that is never negative, so a
-    negative refined minimum is roundoff and is returned as 0."""
-    nx, ny = p.num_inputs, p.num_outputs
-    if nx * ny > GRID_CELL_CAP:
-        raise ResourceLimitError(f"alphabet product {nx * ny} exceeds the cap GRID_CELL_CAP = {GRID_CELL_CAP}")
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least MIN_RESOLUTION = {MIN_RESOLUTION}")
-    if len(q) != nx:
-        raise ValueError("distribution/channel size mismatch")
-
-    den = resolution
-    while den > 1 and num_compositions(den, parts) ** rows > GRID_CAP:
-        den -= 1
-    grid = compositions_array(den, parts).astype(float) / den
-    grid = grid[np.indices((grid.shape[0],) * rows).reshape(rows, -1)].transpose(1, 0, 2)
-    d, metric = terms(grid)
-
-    def argmin(k: ImplicitKind):
-        obj = _grid_objective(k, rate, d, metric)
-        best = int(np.argmin(obj))
-        return grid[best].reshape(-1) if np.isfinite(obj[best]) else None
-
-    x0 = argmin(kind)
-    return math.inf if x0 is None else max(float(refine(x0, argmin)), 0.0)
-
-
 def _batch_terms(masses: np.ndarray, q: Distribution, p: Channel):
     """(D(m||QoP), D(m||TxQ)) for a batch of joint masses of shape (N, ny, nx).
 
@@ -256,98 +255,183 @@ def _batch_terms(masses: np.ndarray, q: Distribution, p: Channel):
     return d, decode_metric(masses, 1, q)
 
 
-def _scalar_objective(kind: ImplicitKind, rate: float, q: Distribution, p: Channel):
-    """(value, subgradient) callable for one flattened joint mass vector."""
-    qp = q.probs[None, :] * p.matrix.T
-    logqp = guarded_log(qp, 0.0)
-    logq = guarded_log(q.probs, 0.0)
-    qp_zero = qp == 0
-    ny, nx = qp.shape
-    floor = 1e-300
-    rule = _KIND_RULES[kind]
-    slope = rule[0] * rule[1]  # d(objective)/d(metric) where the excess is positive
+class Sweep:
+    """The grid of a brute-force minimum and its terms (d, metric), shared by
+    every kind and rate on one (Q, P).
 
-    def fg(flat: np.ndarray):
-        m = flat.reshape(ny, nx)
+    A point is a stack of simplex rows of length ``row_len``, flattened: one
+    row over the joint cells (``joint_sweep``), or the rows W(.|x) for x in
+    supp(Q) (``conditional_sweep``), whose joint mass is Q(x) W(y|x).
+    ``polished`` keeps each (kind, rate) polish for the life of the sweep.
+    """
+
+    def __init__(self, q: Distribution, p: Channel, conditional: bool, grid: np.ndarray):
+        self.q, self.p, self.conditional, self.grid = q, p, conditional, grid  # grid: (N, point size)
+        self.row_len = p.num_outputs if conditional else grid.shape[1]
+        self.support = q.support
+        # Chunks of 2**15 points keep the joint masses and their temporaries
+        # small next to the grid; each point's terms are its own.
+        chunks = [_batch_terms(self.masses(grid[i : i + 2**15]), q, p) for i in range(0, grid.shape[0], 2**15)]
+        self.d = np.concatenate([d for d, _ in chunks])
+        self.metric = np.concatenate([metric for _, metric in chunks])
+        self.polished = {}
+
+    def masses(self, x: np.ndarray) -> np.ndarray:
+        """The (B, |Y|, |X|) joint masses of points ``x`` (B, size)."""
+        ny, nx = self.p.num_outputs, self.p.num_inputs
+        if not self.conditional:
+            return x.reshape(-1, ny, nx)
+        m = np.zeros((x.shape[0], ny, nx))
+        for k, letter in enumerate(self.support.tolist()):
+            m[:, :, letter] = x[:, k * ny : (k + 1) * ny] * self.q.probs[letter]
+        return m
+
+    def chain(self, grad: np.ndarray) -> np.ndarray:
+        """A gradient in the joint mass (|Y|, |X|) as one in the point."""
+        if not self.conditional:
+            return grad.ravel()
+        return (grad[:, self.support] * self.q.probs[self.support]).T.ravel()
+
+    def center(self, g: np.ndarray) -> np.ndarray:
+        """``g`` with each row's mean removed: its projection on the tangent
+        space of the stack of simplices."""
+        rows = g.reshape(-1, self.row_len)
+        return (rows - rows.sum(axis=1, keepdims=True) / self.row_len).ravel()
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Each row of ``v`` projected on its simplex."""
+        if not self.conditional:
+            return project_simplex(v)
+        return _project_rows(v.reshape(-1, self.row_len)).ravel()
+
+    def argmin(self, kind: ImplicitKind, rate: float):
+        """The grid point of least objective, or None when none is finite."""
+        obj = _grid_objective(kind, rate, self.d, self.metric)
+        best = int(np.argmin(obj))
+        return self.grid[best] if np.isfinite(obj[best]) else None
+
+    def polish(self, kind: ImplicitKind, rate: float):
+        """(point, value) of ``_polish`` from the grid argmin of ``kind``, or
+        None when no grid point has a finite objective; computed once."""
+        key = (kind, rate)
+        if key not in self.polished:
+            x0 = self.argmin(kind, rate)
+            self.polished[key] = None if x0 is None else _polish(_Objective(kind, rate, self), x0)
+        return self.polished[key]
+
+
+def _sweep(q: Distribution, p: Channel, resolution: int, conditional: bool) -> Sweep:
+    """Checks the alphabet and the resolution, and sweeps every point at the
+    largest type denominator <= resolution whose grid fits ``GRID_CAP``."""
+    nx, ny = p.num_inputs, p.num_outputs
+    if nx * ny > GRID_CELL_CAP:
+        raise ResourceLimitError(f"alphabet product {nx * ny} exceeds the cap GRID_CELL_CAP = {GRID_CELL_CAP}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least MIN_RESOLUTION = {MIN_RESOLUTION}")
+    if len(q) != nx:
+        raise ValueError("distribution/channel size mismatch")
+    rows, parts = (q.support.size, ny) if conditional else (1, nx * ny)
+
+    den = resolution
+    while den > 1 and num_compositions(den, parts) ** rows > GRID_CAP:
+        den -= 1
+    grid = compositions_array(den, parts).astype(float) / den
+    grid = grid[np.indices((grid.shape[0],) * rows).reshape(rows, -1).T]  # (N, rows, parts)
+    return Sweep(q, p, conditional, grid.reshape(grid.shape[0], rows * parts))
+
+
+def joint_sweep(q: Distribution, p: Channel, resolution: int) -> Sweep:
+    """The grid of ``implicit_exponent``: joint types (|Y|, |X|)."""
+    return _sweep(q, p, resolution, conditional=False)
+
+
+def conditional_sweep(q: Distribution, p: Channel, resolution: int) -> Sweep:
+    """The grid of ``cc_bound``: channel conditionals W(y|x) on supp(Q), one
+    composition per row."""
+    return _sweep(q, p, resolution, conditional=True)
+
+
+class _Objective:
+    """The refined objective of one kind and rate at the points of a sweep:
+    d + weight * [excess]^+ with d = D(m || QoP), excess = sign * (g - rate)
+    and g = D(m || TxQ), at each point's joint mass m; the strict constraint
+    is its exact penalty.  ``values`` takes a batch of points, ``fg`` one
+    point and gives a (sub)gradient too; ``fg``'s value is row 0 of
+    ``values``."""
+
+    _FLOOR = 1e-300
+
+    def __init__(self, kind: ImplicitKind, rate: float, sweep: Sweep):
+        q, p = sweep.q, sweep.p
+        qp = q.probs[None, :] * p.matrix.T
+        self.logqp = guarded_log(qp, 0.0)
+        self.logq = guarded_log(q.probs, 0.0)
+        self.qp_zero = qp == 0
+        self.rule = _KIND_RULES[kind]
+        self.rate = rate
+        self.sweep = sweep
+
+    def _terms(self, x: np.ndarray):
+        m = self.sweep.masses(x)
         pos = m > 0
-        if np.any(pos & qp_zero):
-            return math.inf, np.zeros(flat.size)
-        logm = np.log(np.maximum(m, floor))
-        mlogm = float((np.where(pos, m * logm, 0.0)).sum())
-        d = mlogm - float((m * logqp).sum())
-        t = m.sum(axis=1)
-        logt = np.log(np.maximum(t, floor))
-        tlogt = float((np.where(t > 0, t * logt, 0.0)).sum())
-        g = mlogm - tlogt - float((m * logq[None, :]).sum())
-        value, excess = _refined_objective(rule, rate, d, g)
+        logm = np.log(np.maximum(m, self._FLOOR))
+        mlogm = np.where(pos, m * logm, 0.0).sum(axis=(1, 2))
+        d = mlogm - (m * self.logqp).sum(axis=(1, 2))
+        t = m.sum(axis=2)
+        logt = np.log(np.maximum(t, self._FLOOR))
+        tlogt = np.where(t > 0, t * logt, 0.0).sum(axis=1)
+        g = mlogm - tlogt - (m * self.logq).sum(axis=(1, 2))
+        sign, weight = self.rule
+        excess = sign * (g - self.rate)
+        # np.where rather than np.maximum: max(excess, 0.0) as Python takes it,
+        # signed zeros included.
+        value = d + weight * np.where(0.0 > excess, 0.0, excess)
+        value[(pos & self.qp_zero).any(axis=(1, 2))] = np.inf
+        return value, excess, logm, logt
 
-        grad_d = logm + 1.0 - logqp
-        grad_d[qp_zero] = 1e6  # forbidden cells: repel
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The objective at each point of ``x`` (B, size)."""
+        return self._terms(x)[0]
+
+    def fg(self, x: np.ndarray):
+        """(value, subgradient) at one point."""
+        value, excess, logm, logt = (a[0] for a in self._terms(x[None]))
+        value, excess = float(value), float(excess)
+        if value == math.inf:
+            return math.inf, np.zeros(x.size)
+        grad_d = logm + 1.0 - self.logqp
+        grad_d[self.qp_zero] = 1e6  # forbidden cells: repel
         if excess < -1e-5:
-            return value, grad_d.ravel()
-        grad_g = logm - logt[:, None] - logq[None, :]
-        grad_g[qp_zero] = 0.0
-        grad_other = grad_d + slope * grad_g
+            return value, self.sweep.chain(grad_d)
+        sign, weight = self.rule
+        grad_g = logm - logt[:, None] - self.logq[None, :]
+        grad_g[self.qp_zero] = 0.0
+        grad_other = self.sweep.chain(grad_d + sign * weight * grad_g)
+        if excess > 1e-5:
+            return value, grad_other
 
         # Each objective is max(D, D + weight * excess); near the kink use the
         # minimum-norm point of the two branch gradients' convex hull (the
-        # steepest-descent direction for a max of smooth functions).
-        if excess > 1e-5:
-            grad = grad_other.ravel()
-        else:
-            # Work in the simplex tangent space (centered gradients); raw
-            # gradients carry constant components that the projection removes
-            # but that would corrupt the hull weight.
-            g1 = grad_d.ravel()
-            g2 = grad_other.ravel()
-            g1 = g1 - g1.mean()
-            g2 = g2 - g2.mean()
-            diff = g1 - g2
-            denom = float(diff @ diff)
-            lam = 0.5 if denom == 0 else min(max(float(g2 @ (g2 - g1)) / denom, 0.0), 1.0)
-            grad = lam * g1 + (1.0 - lam) * g2
-        return value, grad
-
-    return fg
+        # steepest-descent direction for a max of smooth functions).  Work in
+        # the tangent space (centered gradients); raw gradients carry
+        # constant components per row that the projection removes but that
+        # would corrupt the hull weight.
+        g1 = self.sweep.center(self.sweep.chain(grad_d))
+        g2 = self.sweep.center(grad_other)
+        diff = g1 - g2
+        denom = float(diff @ diff)
+        lam = 0.5 if denom == 0 else min(max(float(g2 @ (g2 - g1)) / denom, 0.0), 1.0)
+        return value, lam * g1 + (1.0 - lam) * g2
 
 
-def implicit_exponent(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resolution: int) -> float:
-    """Brute-force value of the implicit exponent expression selected by ``kind``.
-
-    Sweeps joint types at the largest denominator <= resolution whose count
-    fits ``GRID_CAP``, then refines the best grid point by coordinate descent
-    with simplex projection.  For CORRECT_STRICT the feasible set is
-    D(ToV || TxQ) >= rate; +inf is returned when no grid point is feasible.
-    """
-    nx, ny = p.num_inputs, p.num_outputs
-
-    def refine(x0: np.ndarray, argmin) -> float:
-        _, value = _polish(kind, rate, q, p, x0)
-        if kind is ImplicitKind.CORRECT_STRICT:
-            # The strict feasible-set optimum sits on the kink of the penalized
-            # objective, where descent from the grid can stall; the minimum of
-            # the unconstrained |R - metric|^+ form shares it in the binding
-            # regime, so also polish from that (purely numerical) solution and
-            # keep the better of the two.
-            x_ml, _ = _polish(ImplicitKind.CORRECT_ML, rate, q, p, argmin(ImplicitKind.CORRECT_ML))
-            _, alt = _polish(kind, rate, q, p, x_ml)
-            value = min(value, alt)
-        return value
-
-    return _grid_then_refine(
-        kind, rate, q, p, resolution, nx * ny, 1,
-        lambda grid: _batch_terms(grid.reshape(-1, ny, nx), q, p), refine,
-    )
-
-
-def _polish(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, x0: np.ndarray):
+def _polish(obj: _Objective, x0: np.ndarray):
     """Alternate projected-gradient and coordinate-descent rounds until a full
     cycle stops improving."""
-    fg = _scalar_objective(kind, rate, q, p)
-    x, fx = _pgd_on_simplex(fg, x0)
+    sweep = obj.sweep
+    x, fx = _pgd_on_simplex(obj.fg, x0, sweep.project)
     for _ in range(6):
-        x, f_cd = _refine_rows(lambda v: fg(v)[0], x, x.size, bracket=0.25, max_sweeps=40)
-        x, f_pgd = _pgd_on_simplex(fg, x)
+        x, _ = _refine_rows(obj.values, x, sweep.row_len)
+        x, f_pgd = _pgd_on_simplex(obj.fg, x, sweep.project)
         if fx - f_pgd < 1e-12:
             fx = min(fx, f_pgd)
             break
@@ -355,66 +439,28 @@ def _polish(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, x0: np
     return x, fx
 
 
-# ---------------------------------------------------------------------------
-# constant-composition comparison bounds (minimization over W(y|x), U = Q)
-# ---------------------------------------------------------------------------
-
-
-def _cc_terms(w_batch: np.ndarray, q: Distribution, p: Channel):
-    """(D(QoW||QoP), I(QoW)) for a batch of conditionals (N, s, ny) on supp(Q)."""
-    supp = q.support
-    qs = q.probs[supp]
-    psub = p.matrix[supp]
-
-    w = w_batch
-    wlogw = xlogx(w)
-    d = (qs[None, :, None] * (wlogw - w * guarded_log(psub, 0.0)[None])).sum(axis=(1, 2))
-    d[((w > 0) & (psub[None] == 0)).any(axis=(1, 2))] = np.inf
-
-    r = (qs[None, :, None] * w).sum(axis=1)  # (N, ny)
-    mi = (qs[None, :, None] * wlogw).sum(axis=(1, 2)) - xlogx(r).sum(axis=1)
-    return d, mi
-
-
-def cc_bound(kind: ImplicitKind, rate: float, q: Distribution, p: Channel, resolution: int) -> float:
-    """Constant-composition counterpart: brute-force minimum over W(y|x) with
-    the input marginal fixed to Q.  +inf for CORRECT_STRICT when I(QoW) >= rate
-    is infeasible on the grid (e.g. rate above the entropy of Q)."""
-    ny = p.num_outputs
-    s = q.support.size
-    rule = _KIND_RULES[kind]
-
-    def f(flat: np.ndarray) -> float:
-        dv, miv = _cc_terms(flat.reshape(1, s, ny), q, p)
-        return _refined_objective(rule, rate, float(dv[0]), float(miv[0]))[0]
-
-    return _grid_then_refine(
-        kind, rate, q, p, resolution, ny, s,
-        lambda grid: _cc_terms(grid, q, p), lambda x0, _: _refine_rows(f, x0, ny)[1],
-    )
-
-
-def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, max_sweeps: int = 200):
+def _refine_rows(values, x0: np.ndarray, row_len: int):
     """Cyclic coordinate descent over a stack of simplex rows: per coordinate,
-    line-minimize over [-bracket, bracket] with per-row projection; stops when
-    a full sweep moves less than 1e-8."""
+    line-minimize over [-0.25, 0.25] with per-row projection; stops when a
+    full sweep moves less than 1e-8, or after 40 sweeps.  ``values`` maps a
+    batch of points to their objective values."""
     x = x0.copy()
-    fx = f(x)
+    fx = float(values(x[None])[0])
     nrows = x.size // row_len
-    for _ in range(max_sweeps):
+    for _ in range(40):
         moved = 0.0
         f_start = fx
         for r in range(nrows):
             sl = slice(r * row_len, (r + 1) * row_len)
             for i in range(row_len):
-                def along(t, sl=sl, i=i):
-                    cand = x.copy()
-                    row = cand[sl].copy()
-                    row[i] += t
-                    cand[sl] = project_simplex(row)
-                    return f(cand)
+                def along(ts, sl=sl, i=i):
+                    rows = np.repeat(x[None, sl], ts.size, axis=0)
+                    rows[:, i] += ts
+                    cand = np.repeat(x[None], ts.size, axis=0)
+                    cand[:, sl] = _project_rows(rows)
+                    return values(cand)
 
-                t, ft = _golden_min(along, -bracket, bracket)
+                t, ft = _golden_min(along, -0.25, 0.25)
                 if ft < fx:
                     row = x[sl].copy()
                     row[i] += t
@@ -425,6 +471,50 @@ def _refine_rows(f, x0: np.ndarray, row_len: int, bracket: float = 1.0, max_swee
         if moved < 1e-8 and f_start - fx < 1e-12:
             break
     return x, fx
+
+
+def _minimum(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
+    """The polished minimum of ``kind`` at ``rate`` over ``sweep``'s points:
+    +inf when no grid point has a finite objective.  The objective is a
+    divergence plus a penalty that is never negative, so a negative minimum
+    is roundoff and is returned as 0."""
+    polished = sweep.polish(kind, rate)
+    if polished is None:
+        return math.inf
+    value = polished[1]
+    if kind is ImplicitKind.CORRECT_STRICT:
+        # The strict feasible-set optimum sits on the kink of the penalized
+        # objective, where descent from the grid can stall; the minimum of
+        # the unconstrained |R - metric|^+ form shares it in the binding
+        # regime, so also polish from that (purely numerical) solution and
+        # keep the better of the two.
+        x_ml, _ = sweep.polish(ImplicitKind.CORRECT_ML, rate)
+        value = min(value, _polish(_Objective(kind, rate, sweep), x_ml)[1])
+    return max(float(value), 0.0)
+
+
+def implicit_exponent(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
+    """Brute-force value of the implicit exponent expression selected by ``kind``.
+
+    Minimizes over the joint types of ``sweep`` (a ``joint_sweep``): the best
+    grid point, refined by projected-gradient and coordinate descent.  For
+    CORRECT_STRICT the feasible set is D(ToV || TxQ) >= rate; +inf is returned
+    when no grid point is feasible.
+    """
+    if sweep.conditional:
+        raise ValueError("implicit_exponent minimizes over a joint_sweep")
+    return _minimum(kind, rate, sweep)
+
+
+def cc_bound(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
+    """Constant-composition counterpart: the objective of
+    ``implicit_exponent`` restricted to joint masses Q(x) W(y|x), minimized
+    over the conditionals W of ``sweep`` (a ``conditional_sweep``).  There
+    D(ToV || TxQ) is I(QoW).  +inf for CORRECT_STRICT when I(QoW) >= rate is
+    infeasible on the grid (e.g. rate above the entropy of Q)."""
+    if not sweep.conditional:
+        raise ValueError("cc_bound minimizes over a conditional_sweep")
+    return _minimum(kind, rate, sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from nts.exponents import (
     minus_one_family,
     tilted_joint,
 )
-from nts.oracle import ImplicitKind, exact_finite_n, implicit_exponent
+from nts.oracle import ImplicitKind, exact_finite_n, implicit_exponent, joint_sweep
 from nts.iterate import check_lower_than, fixed_rate_run, fixed_rate_step, fixed_slope_run
 from nts.simulate import SimConfig, estimate_exponent, fixed_q_event_counts, fixed_q_outcomes, nts_run
 from nts.cli import run_command
@@ -50,10 +50,11 @@ def test_criterion_01_explicit_vs_implicit_equivalence():
         q, p = random_instance(rng)
         i0 = tilted_joint(0.0, q, p).slope
         fam = minus_one_family(q, p)
+        sweep = joint_sweep(q, p, resolution)
 
         rate_err = float(rng.uniform(0.25, 0.85)) * i0
         diff = abs(
-            implicit_exponent(ImplicitKind.ERROR_IID, rate_err, q, p, resolution)
+            implicit_exponent(ImplicitKind.ERROR_IID, rate_err, sweep)
             - error_exponent(rate_err, q, p).value
         )
         worst = max(worst, diff)
@@ -61,7 +62,7 @@ def test_criterion_01_explicit_vs_implicit_equivalence():
         rate_corr = i0 + float(rng.uniform(0.15, 0.75)) * max(fam.r_plus - i0, 0.0)
         rate_corr = min(rate_corr, fam.r_plus)  # strict kind restricted to R <= r_plus
         diff = abs(
-            implicit_exponent(ImplicitKind.CORRECT_ML, rate_corr, q, p, resolution)
+            implicit_exponent(ImplicitKind.CORRECT_ML, rate_corr, sweep)
             - correct_exponent_ml(rate_corr, q, p).value
         )
         worst = max(worst, diff)
@@ -69,7 +70,7 @@ def test_criterion_01_explicit_vs_implicit_equivalence():
         strict = correct_exponent_strict(rate_corr, q, p)
         assert not isinstance(strict, StrictDomainReport)
         diff = abs(
-            implicit_exponent(ImplicitKind.CORRECT_STRICT, rate_corr, q, p, resolution)
+            implicit_exponent(ImplicitKind.CORRECT_STRICT, rate_corr, sweep)
             - strict.value
         )
         worst = max(worst, diff)

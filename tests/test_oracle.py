@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from nts.itcore import (
@@ -29,17 +30,21 @@ from nts.oracle import (
     TYPE_CAP,
     ImplicitKind,
     _GOLDEN,
+    _Objective,
     _SupportObjective,
     _golden_min,
     _minimize_over_pairs,
     _minimize_over_support,
     _on_support,
     _output_metrics,
+    _project_rows,
     cc_bound,
     competitor_class_table,
+    conditional_sweep,
     decode_metric,
     exact_finite_n,
     implicit_exponent,
+    joint_sweep,
     loglik_metric,
     min_over_small_supports,
     project_simplex,
@@ -52,20 +57,20 @@ UNIF = Distribution.uniform(2)
 class TestImplicitExponent:
     def test_zero_above_mutual_information(self):
         i0 = tilted_joint(0.0, UNIF, BSC).slope
-        val = implicit_exponent(ImplicitKind.ERROR_IID, i0 + 0.05, UNIF, BSC, 30)
+        val = implicit_exponent(ImplicitKind.ERROR_IID, i0 + 0.05, joint_sweep(UNIF, BSC, 30))
         assert abs(val) < 1e-6
 
     def test_error_kind_matches_explicit(self):
-        val = implicit_exponent(ImplicitKind.ERROR_IID, 0.1, UNIF, BSC, 60)
+        val = implicit_exponent(ImplicitKind.ERROR_IID, 0.1, joint_sweep(UNIF, BSC, 60))
         assert val == pytest.approx(error_exponent(0.1, UNIF, BSC).value, abs=2e-2)
 
     def test_correct_ml_matches_explicit(self):
-        val = implicit_exponent(ImplicitKind.CORRECT_ML, 0.55, UNIF, BSC, 60)
+        val = implicit_exponent(ImplicitKind.CORRECT_ML, 0.55, joint_sweep(UNIF, BSC, 60))
         assert val == pytest.approx(correct_exponent_ml(0.55, UNIF, BSC).value, abs=2e-2)
 
     def test_strict_infeasible_is_inf(self):
         # Max achievable metric is -log min Q(x) = log 2 for uniform binary Q.
-        val = implicit_exponent(ImplicitKind.CORRECT_STRICT, math.log(2) + 0.2, UNIF, BSC, 30)
+        val = implicit_exponent(ImplicitKind.CORRECT_STRICT, math.log(2) + 0.2, joint_sweep(UNIF, BSC, 30))
         assert val == math.inf
 
     def test_strict_at_least_ml(self):
@@ -74,22 +79,29 @@ class TestImplicitExponent:
             p = Channel(rng.dirichlet(np.ones(2), size=2))
             q = Distribution(rng.dirichlet(np.ones(2)))
             rate = float(rng.uniform(0.1, 0.5))
-            for minimum in (implicit_exponent, cc_bound):
-                ml = minimum(ImplicitKind.CORRECT_ML, rate, q, p, 40)
-                strict = minimum(ImplicitKind.CORRECT_STRICT, rate, q, p, 40)
+            minima = ((implicit_exponent, joint_sweep(q, p, 40)), (cc_bound, conditional_sweep(q, p, 40)))
+            for minimum, sweep in minima:
+                ml = minimum(ImplicitKind.CORRECT_ML, rate, sweep)
+                strict = minimum(ImplicitKind.CORRECT_STRICT, rate, sweep)
                 assert strict >= ml - 1e-6
 
     def test_alphabet_cap(self):
         p = Channel(np.full((4, 3), 1 / 3))
         q = Distribution.uniform(4)
-        for minimum in (implicit_exponent, cc_bound):
+        for sweep in (joint_sweep, conditional_sweep):
             with pytest.raises(ResourceLimitError, match=f"alphabet product 12 exceeds the cap GRID_CELL_CAP = {GRID_CELL_CAP}"):
-                minimum(ImplicitKind.ERROR_IID, 0.1, q, p, 30)
+                sweep(q, p, 30)
 
     def test_resolution_floor(self):
-        for minimum in (implicit_exponent, cc_bound):
+        for sweep in (joint_sweep, conditional_sweep):
             with pytest.raises(ValueError, match=f"resolution must be at least MIN_RESOLUTION = {MIN_RESOLUTION}"):
-                minimum(ImplicitKind.ERROR_IID, 0.1, UNIF, BSC, MIN_RESOLUTION - 1)
+                sweep(UNIF, BSC, MIN_RESOLUTION - 1)
+
+    def test_each_minimum_takes_its_own_grid(self):
+        with pytest.raises(ValueError, match="joint_sweep"):
+            implicit_exponent(ImplicitKind.ERROR_IID, 0.1, conditional_sweep(UNIF, BSC, 20))
+        with pytest.raises(ValueError, match="conditional_sweep"):
+            cc_bound(ImplicitKind.ERROR_IID, 0.1, joint_sweep(UNIF, BSC, 20))
 
 
 class TestOracleBoundary:
@@ -112,34 +124,84 @@ class TestOracleBoundary:
         for name in imported:
             monkeypatch.setattr(oracle, name, stub)
 
+        joint, conditional = joint_sweep(UNIF, BSC, 20), conditional_sweep(UNIF, BSC, 20)
         for kind in ImplicitKind:
-            assert implicit_exponent(kind, 0.3, UNIF, BSC, 20) >= 0
-            assert cc_bound(kind, 0.3, UNIF, BSC, 20) >= 0
+            assert implicit_exponent(kind, 0.3, joint) >= 0
+            assert cc_bound(kind, 0.3, conditional) >= 0
         rep = exact_finite_n(6, 0.2, 0.1, UNIF, BSC)
         assert rep.p_error + rep.p_correct_strict == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_exponent_is_exactly_zero(self):
         # Rate 0.3 is below I(Q o P) of BSC(0.1), so both correct-decoding
         # minima are zero; the refinement used to end at -2.2e-16.
+        joint, conditional = joint_sweep(UNIF, BSC, 60), conditional_sweep(UNIF, BSC, 60)
         for kind in (ImplicitKind.CORRECT_ML, ImplicitKind.CORRECT_STRICT):
-            assert implicit_exponent(kind, 0.3, UNIF, BSC, 60) == 0.0
-            assert cc_bound(kind, 0.3, UNIF, BSC, 60) == 0.0
+            assert implicit_exponent(kind, 0.3, joint) == 0.0
+            assert cc_bound(kind, 0.3, conditional) == 0.0
 
 
 class TestCcBound:
     def test_upper_bounds_iid_error_exponent(self):
+        sweep = conditional_sweep(UNIF, BSC, 40)
         for rate in (0.05, 0.2):
-            cb = cc_bound(ImplicitKind.ERROR_IID, rate, UNIF, BSC, 40)
+            cb = cc_bound(ImplicitKind.ERROR_IID, rate, sweep)
             assert cb >= error_exponent(rate, UNIF, BSC).value - 2e-2
 
     def test_strict_above_entropy_is_inf(self):
         q = Distribution(np.array([0.8, 0.2]))
         hq = -(0.8 * math.log(0.8) + 0.2 * math.log(0.2))
-        assert cc_bound(ImplicitKind.CORRECT_STRICT, hq + 0.1, q, BSC, 30) == math.inf
+        assert cc_bound(ImplicitKind.CORRECT_STRICT, hq + 0.1, conditional_sweep(q, BSC, 30)) == math.inf
 
     def test_identity_channel_at_log2_is_zero(self):
-        val = cc_bound(ImplicitKind.CORRECT_ML, math.log(2), UNIF, Channel(np.eye(2)), 40)
+        val = cc_bound(ImplicitKind.CORRECT_ML, math.log(2), conditional_sweep(UNIF, Channel(np.eye(2)), 40))
         assert abs(val) < 1e-6
+
+    def test_matches_the_implicit_exponent_on_the_ternary_symmetric_channel(self):
+        # For a symmetric channel and uniform Q the constant-composition
+        # exponents equal the i.i.d. ones; coordinate moves alone stalled at
+        # the kink of [R - I]^+ here (0.0380 and 0.0507).
+        p = Channel(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
+        q, rate = Distribution.uniform(3), 0.5902665454523357
+        joint, conditional = joint_sweep(q, p, 60), conditional_sweep(q, p, 60)
+        for kind in (ImplicitKind.CORRECT_ML, ImplicitKind.CORRECT_STRICT):
+            implicit = implicit_exponent(kind, rate, joint)
+            assert implicit == pytest.approx(0.0111987976722, abs=1e-9)
+            assert cc_bound(kind, rate, conditional) == pytest.approx(implicit, abs=1e-9)
+
+    @pytest.mark.parametrize("rows, q, rate, kinds", [
+        (
+            [[0.79740358849196, 0.014053697017736313, 0.18854271449030366],
+             [0.08787851200947586, 0.12492778899367422, 0.7871936989968499]],
+            [0.7652827478212281, 0.23471725217877198], 0.10187324795284139,
+            (ImplicitKind.ERROR_IID, ImplicitKind.CORRECT_ML),
+        ),
+        (
+            [[0.8945887108511038, 0.08008611773466406, 0.025325171414232173],
+             [0.05472446539181872, 0.043524167490918295, 0.901751367117263]],
+            [0.46239425945954377, 0.5376057405404562], 0.5647731680459273,
+            (ImplicitKind.CORRECT_ML,),
+        ),
+    ])
+    def test_no_higher_than_a_multistart_nelder_mead(self, rows, q, rate, kinds):
+        p, q = np.array(rows), np.array(q)
+        got = {kind: cc_bound(kind, rate, conditional_sweep(Distribution(q), Channel(p), 60)) for kind in kinds}
+        for kind in kinds:
+            sign = 1.0 if kind is ImplicitKind.ERROR_IID else -1.0
+
+            def objective(logits):
+                # D(QoW || QoP) + [sign (I(QoW) - rate)]^+ over softmax rows W.
+                w = np.exp(logits.reshape(p.shape) - logits.reshape(p.shape).max(axis=1, keepdims=True))
+                w /= w.sum(axis=1, keepdims=True)
+                joint = q[:, None] * w
+                d = float((joint * np.log(w / p)).sum())
+                mi = float((joint * np.log(w / joint.sum(axis=0))).sum())
+                return d + max(sign * (mi - rate), 0.0)
+
+            rng = np.random.default_rng(0)
+            starts = [np.log(p).ravel()] + [rng.normal(scale=2.0, size=p.size) for _ in range(19)]
+            options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000}
+            ref = min(minimize(objective, x0, method="Nelder-Mead", options=options).fun for x0 in starts)
+            assert got[kind] <= ref + 1e-9
 
 
 class TestExactFiniteN:
@@ -513,7 +575,14 @@ def _reference_pair_minimum(obj: _SupportObjective, pair: tuple, resolution: int
     ts = np.linspace(0.0, 1.0, max(resolution, 5))
     vals = obj.values_and_rhos(rows(ts))[0].tolist()
     i = int(np.argmin(vals))
-    _, ft = _golden_min(lambda t: float(obj.values_and_rhos(rows([t]))[0][0]), ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
+
+    def scalar(t):
+        return float(obj.values_and_rhos(rows([t]))[0][0])
+
+    def batched(points):
+        return np.array([scalar(t) for t in points])
+
+    _, ft = _golden_min(batched, ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
     return min(ft, min(vals))
 
 
@@ -709,6 +778,125 @@ class TestProjectSimplex:
         # a[0] - 1 rounds to a[0], so the sort-based rule finds no index.
         x = project_simplex(np.array([1e17, -1e17, 0.0]))
         assert np.array_equal(x, [1.0, 0.0, 0.0])
+
+
+def _scalar_golden_min(fun, lo: float, hi: float):
+    """The one-point-per-call golden-section search that ``_golden_min``
+    batches."""
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(44):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+@st.composite
+def line_function(draw):
+    """A bracket and a function on it: a parabola plus a ripple (several
+    local minima at high frequency), optionally rounded to a step (plateaus
+    and ties), or a constant."""
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(1e-6, 3.0))
+    t0, curve = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 5.0))
+    amp, freq = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 60.0))
+    step = draw(st.sampled_from([0.0, 1e-3, 0.05, 1.0, math.inf]))
+
+    def f(t):
+        v = curve * (t - t0) ** 2 + amp * math.sin(freq * t)
+        if step == math.inf:
+            return 0.5
+        return round(v / step) * step if step else v
+
+    return f, lo, hi
+
+
+@st.composite
+def objective_case(draw):
+    """A random 2x2 to 3x3 channel with zero entries, a Q that may miss a
+    letter, a joint or conditional sweep at the coarsest resolution, a kind, a
+    rate and a batch of its points with zero entries."""
+    p, rng = _random_channel(draw, st.integers(2, 3), st.integers(2, 3))
+    probs = rng.dirichlet(np.ones(p.num_inputs))
+    if draw(st.booleans()):
+        probs[draw(st.integers(0, p.num_inputs - 1))] = 0.0
+    q = Distribution(probs / probs.sum())
+    sweep = (conditional_sweep if draw(st.booleans()) else joint_sweep)(q, p, MIN_RESOLUTION)
+    points = rng.dirichlet(np.ones(sweep.row_len), size=(draw(st.integers(1, 16)), sweep.grid.shape[1] // sweep.row_len))
+    points[rng.random(points.shape) < 0.3] = 0.0
+    points[..., 0] += points.sum(axis=-1) == 0
+    points /= points.sum(axis=-1, keepdims=True)
+    kind = draw(st.sampled_from(list(ImplicitKind)))
+    return _Objective(kind, draw(st.floats(0.0, 1.5)), sweep), points.reshape(points.shape[0], -1)
+
+
+def _reference_value(obj: _Objective, m: np.ndarray) -> float:
+    """The refined objective at one joint mass (|Y|, |X|), in Python floats,
+    as the one-point objective computed it before the batched form."""
+    q, p = obj.sweep.q, obj.sweep.p
+    qp = q.probs[None, :] * p.matrix.T
+    logqp, logq = guarded_log(qp, 0.0), guarded_log(q.probs, 0.0)
+    pos = m > 0
+    if np.any(pos & (qp == 0)):
+        return math.inf
+    logm = np.log(np.maximum(m, 1e-300))
+    mlogm = float((np.where(pos, m * logm, 0.0)).sum())
+    d = mlogm - float((m * logqp).sum())
+    t = m.sum(axis=1)
+    tlogt = float((np.where(t > 0, t * np.log(np.maximum(t, 1e-300)), 0.0)).sum())
+    g = mlogm - tlogt - float((m * logq[None, :]).sum())
+    sign, weight = obj.rule
+    return d + weight * max(sign * (g - obj.rate), 0.0)
+
+
+@st.composite
+def rows_to_project(draw):
+    """A batch of rows, with repeated, zero and far-apart entries."""
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 1.0, -1e17, 1e17, 1e-300]))
+    return np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8)))
+
+
+class TestBatchedLineSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(line_function())
+    def test_golden_section_is_the_scalar_search(self, case):
+        f, lo, hi = case
+        calls = []
+
+        def batched(points):
+            calls.append(points.size)
+            return np.array([f(t) for t in points.tolist()])
+
+        assert _golden_min(batched, lo, hi) == _scalar_golden_min(f, lo, hi)
+        assert calls == [2] + [15] * 11
+
+    @settings(max_examples=40, deadline=None)
+    @given(objective_case())
+    def test_batched_objective_is_the_one_point_value(self, case):
+        obj, points = case
+        values = obj.values(points)
+        for x, value, m in zip(points, values.tolist(), obj.sweep.masses(points)):
+            assert obj.fg(x)[0] == value
+            assert _reference_value(obj, m) == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows_to_project())
+    def test_row_projection_is_project_simplex(self, rows):
+        for row, projected in zip(rows, _project_rows(rows)):
+            assert np.array_equal(projected, project_simplex(row))
+
+    def test_row_projection_beyond_float_resolution(self):
+        rows = np.array([[1e17, -1e17, 0.0], [0.2, 0.3, 0.5], [-1e17, 1e17, 1e17]])
+        for row, projected in zip(rows, _project_rows(rows)):
+            assert np.array_equal(projected, project_simplex(row))
 
 
 class TestSupportGradient:
