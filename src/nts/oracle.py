@@ -4,8 +4,9 @@ The cross-checks use none of the tilted closed forms: the implicit exponents
 are minimized numerically over joint types (grid sweep at a type denominator,
 then projected-gradient and coordinate descent), the constant-composition
 bounds minimize the same objective over the joint masses Q(x) W(y|x), one
-channel conditional W per point, and finite-blocklength event probabilities
-are computed exactly by enumerating types.  The
+channel conditional W per point, and finish with SLSQP on its epigraph form,
+and finite-blocklength event probabilities are computed exactly by
+enumerating types.  The
 convergence-condition right-hand side is a brute-force minimum over small
 supports; it is not a cross-check, and it evaluates E0 with the tilted kernel
 of the exponents module.
@@ -138,31 +139,22 @@ def loglik_metric(counts, n: int, logp: np.ndarray):
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    n = v.size
-    a = -np.sort(-v)
-    cum = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    above = np.nonzero(a > cum)[0]
-    if above.size == 0:
+    """Euclidean projection onto the probability simplex (sort-based): of
+    ``v``, or of each row of ``v`` (B, n)."""
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1]
+    a = -np.sort(-rows, axis=1)
+    cum = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, n + 1)
+    above = a > cum
+    last = n - 1 - above[:, ::-1].argmax(axis=1)
+    out = np.maximum(rows - cum[np.arange(rows.shape[0]), last, None], 0.0)
+    stuck = ~above.any(axis=1)
+    if stuck.any():
         # Entries spanning a huge range can round a[0] - 1 to a[0], leaving no
         # index.  Adding a constant to every entry does not move the
         # projection, and after this shift a[0] = 0 > cum[0] = -1.
-        return project_simplex(v - v.max())
-    return np.maximum(v - cum[above[-1]], 0.0)
-
-
-def _project_rows(v: np.ndarray) -> np.ndarray:
-    """``project_simplex`` of each row of ``v`` (B, n), bit for bit."""
-    n = v.shape[1]
-    a = -np.sort(-v, axis=1)
-    cum = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, n + 1)
-    above = a > cum
-    last = n - 1 - np.argmax(above[:, ::-1], axis=1)
-    out = np.maximum(v - cum[np.arange(v.shape[0]), last][:, None], 0.0)
-    stuck = ~above.any(axis=1)
-    if stuck.any():
-        out[stuck] = _project_rows(v[stuck] - v[stuck].max(axis=1, keepdims=True))
-    return out
+        out[stuck] = project_simplex(rows[stuck] - rows[stuck].max(axis=1, keepdims=True))
+    return out.reshape(v.shape)
 
 
 def _golden_step(lo: float, hi: float, c: float, d: float, left: bool):
@@ -263,11 +255,14 @@ class Sweep:
     row over the joint cells (``joint_sweep``), or the rows W(.|x) for x in
     supp(Q) (``conditional_sweep``), whose joint mass is Q(x) W(y|x).
     ``polished`` keeps each (kind, rate) polish for the life of the sweep.
+    The coordinate line searches of the polish span [-bracket, bracket]: a
+    whole row of W, or a quarter on the joint grid.
     """
 
     def __init__(self, q: Distribution, p: Channel, conditional: bool, grid: np.ndarray):
         self.q, self.p, self.conditional, self.grid = q, p, conditional, grid  # grid: (N, point size)
         self.row_len = p.num_outputs if conditional else grid.shape[1]
+        self.bracket = 1.0 if conditional else 0.25
         self.support = q.support
         # Chunks of 2**15 points keep the joint masses and their temporaries
         # small next to the grid; each point's terms are its own.
@@ -300,9 +295,7 @@ class Sweep:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Each row of ``v`` projected on its simplex."""
-        if not self.conditional:
-            return project_simplex(v)
-        return _project_rows(v.reshape(-1, self.row_len)).ravel()
+        return project_simplex(v.reshape(-1, self.row_len)).ravel()
 
     def argmin(self, kind: ImplicitKind, rate: float):
         """The grid point of least objective, or None when none is finite."""
@@ -311,13 +304,26 @@ class Sweep:
         return self.grid[best] if np.isfinite(obj[best]) else None
 
     def polish(self, kind: ImplicitKind, rate: float):
-        """(point, value) of ``_polish`` from the grid argmin of ``kind``, or
+        """(point, value) of ``descend`` from the grid argmin of ``kind``, or
         None when no grid point has a finite objective; computed once."""
         key = (kind, rate)
         if key not in self.polished:
             x0 = self.argmin(kind, rate)
-            self.polished[key] = None if x0 is None else _polish(_Objective(kind, rate, self), x0)
+            self.polished[key] = None if x0 is None else self.descend(kind, rate, x0)
         return self.polished[key]
+
+    def descend(self, kind: ImplicitKind, rate: float, x0: np.ndarray):
+        """(point, value) of ``_polish`` from ``x0``.  On the conditionals,
+        then of ``_epigraph_descent`` from there, or from the channel's own
+        rows if they are lower: d is exactly 0 there, so a zero minimum is
+        found without roundoff."""
+        obj = _Objective(kind, rate, self)
+        x, fx = _polish(obj, x0)
+        if not self.conditional:
+            return x, fx
+        rows = self.p.matrix[self.support].ravel()
+        f_rows = float(obj.values(rows[None])[0])
+        return _epigraph_descent(obj, *((rows, f_rows) if f_rows < fx else (x, fx)))
 
 
 def _sweep(q: Distribution, p: Channel, resolution: int, conditional: bool) -> Sweep:
@@ -387,26 +393,44 @@ class _Objective:
         # signed zeros included.
         value = d + weight * np.where(0.0 > excess, 0.0, excess)
         value[(pos & self.qp_zero).any(axis=(1, 2))] = np.inf
-        return value, excess, logm, logt
+        return value, d, excess, logm, logt
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """The objective at each point of ``x`` (B, size)."""
         return self._terms(x)[0]
 
-    def fg(self, x: np.ndarray):
-        """(value, subgradient) at one point."""
-        value, excess, logm, logt = (a[0] for a in self._terms(x[None]))
-        value, excess = float(value), float(excess)
-        if value == math.inf:
-            return math.inf, np.zeros(x.size)
+    def _grad_d(self, logm: np.ndarray) -> np.ndarray:
+        """The gradient of d in the joint mass."""
         grad_d = logm + 1.0 - self.logqp
         grad_d[self.qp_zero] = 1e6  # forbidden cells: repel
-        if excess < -1e-5:
-            return value, self.sweep.chain(grad_d)
+        return grad_d
+
+    def _grad_other(self, grad_d: np.ndarray, logm: np.ndarray, logt: np.ndarray) -> np.ndarray:
+        """The gradient of d + weight * excess in the point."""
         sign, weight = self.rule
         grad_g = logm - logt[:, None] - self.logq[None, :]
         grad_g[self.qp_zero] = 0.0
-        grad_other = self.sweep.chain(grad_d + sign * weight * grad_g)
+        return self.sweep.chain(grad_d + sign * weight * grad_g)
+
+    def pieces(self, x: np.ndarray):
+        """((f1, f2), (g1, g2)) at one point: the objective is max(f1, f2)
+        with f1 = d and f2 = d + weight * excess; g1 and g2 are their
+        gradients in the point."""
+        _, d, excess, logm, logt = (a[0] for a in self._terms(x[None]))
+        grad_d = self._grad_d(logm)
+        f1 = float(d)
+        return (f1, f1 + self.rule[1] * float(excess)), (self.sweep.chain(grad_d), self._grad_other(grad_d, logm, logt))
+
+    def fg(self, x: np.ndarray):
+        """(value, subgradient) at one point."""
+        value, _, excess, logm, logt = (a[0] for a in self._terms(x[None]))
+        value, excess = float(value), float(excess)
+        if value == math.inf:
+            return math.inf, np.zeros(x.size)
+        grad_d = self._grad_d(logm)
+        if excess < -1e-5:
+            return value, self.sweep.chain(grad_d)
+        grad_other = self._grad_other(grad_d, logm, logt)
         if excess > 1e-5:
             return value, grad_other
 
@@ -424,13 +448,56 @@ class _Objective:
         return value, lam * g1 + (1.0 - lam) * g2
 
 
+def _epigraph_descent(obj: _Objective, x0: np.ndarray, f0: float):
+    """SLSQP on the epigraph form of ``obj`` from (x0, f0): minimize t subject
+    to t >= f1 and t >= f2, the two pieces of the objective, over the rows'
+    simplices, with the cells where Q o P is zero held at 0.  Descent on
+    max(f1, f2) can stall where the kink f1 = f2 meets a face of the
+    simplices; here the kink is a constraint.  Returns (x0, f0) unless the
+    point reached, clipped to the simplices, has a lower objective."""
+    # Imported here: it takes about a quarter of a second and 23 MB, and only
+    # the constant-composition minima use it.
+    from scipy.optimize import minimize
+
+    size, row_len = x0.size, obj.sweep.row_len
+    last = {}
+
+    def pieces(z):
+        key = z.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = obj.pieces(np.maximum(z[:-1], 0.0))
+        return last[key]
+
+    def piece(k):
+        return {
+            "type": "ineq",
+            "fun": lambda z: z[-1] - pieces(z)[0][k],
+            "jac": lambda z: np.append(-pieces(z)[1][k], 1.0),
+        }
+
+    sums = np.hstack([np.kron(np.eye(size // row_len), np.ones(row_len)), np.zeros((size // row_len, 1))])
+    forbidden = obj.sweep.chain(obj.qp_zero * 1.0) != 0  # chain scales by Q(x) > 0
+    objective_grad = np.append(np.zeros(size), 1.0)
+    res = minimize(
+        lambda z: z[-1], np.append(x0, f0), jac=lambda z: objective_grad, method="SLSQP",
+        bounds=[(0.0, 0.0) if cell else (0.0, 1.0) for cell in forbidden] + [(None, None)],
+        constraints=[piece(0), piece(1), {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums}],
+        options={"ftol": 1e-15, "maxiter": 200},
+    )
+    x = np.maximum(res.x[:-1], 0.0).reshape(-1, row_len)
+    x = (x / x.sum(axis=1, keepdims=True)).ravel()
+    fx = float(obj.values(x[None])[0])
+    return (x, fx) if fx < f0 else (x0, f0)
+
+
 def _polish(obj: _Objective, x0: np.ndarray):
     """Alternate projected-gradient and coordinate-descent rounds until a full
     cycle stops improving."""
     sweep = obj.sweep
     x, fx = _pgd_on_simplex(obj.fg, x0, sweep.project)
     for _ in range(6):
-        x, _ = _refine_rows(obj.values, x, sweep.row_len)
+        x, _ = _refine_rows(obj.values, x, sweep.row_len, sweep.bracket)
         x, f_pgd = _pgd_on_simplex(obj.fg, x, sweep.project)
         if fx - f_pgd < 1e-12:
             fx = min(fx, f_pgd)
@@ -439,11 +506,11 @@ def _polish(obj: _Objective, x0: np.ndarray):
     return x, fx
 
 
-def _refine_rows(values, x0: np.ndarray, row_len: int):
+def _refine_rows(values, x0: np.ndarray, row_len: int, bracket: float):
     """Cyclic coordinate descent over a stack of simplex rows: per coordinate,
-    line-minimize over [-0.25, 0.25] with per-row projection; stops when a
-    full sweep moves less than 1e-8, or after 40 sweeps.  ``values`` maps a
-    batch of points to their objective values."""
+    line-minimize over [-bracket, bracket] with per-row projection; stops
+    when a full sweep moves less than 1e-8, or after 40 sweeps.  ``values``
+    maps a batch of points to their objective values."""
     x = x0.copy()
     fx = float(values(x[None])[0])
     nrows = x.size // row_len
@@ -457,10 +524,10 @@ def _refine_rows(values, x0: np.ndarray, row_len: int):
                     rows = np.repeat(x[None, sl], ts.size, axis=0)
                     rows[:, i] += ts
                     cand = np.repeat(x[None], ts.size, axis=0)
-                    cand[:, sl] = _project_rows(rows)
+                    cand[:, sl] = project_simplex(rows)
                     return values(cand)
 
-                t, ft = _golden_min(along, -0.25, 0.25)
+                t, ft = _golden_min(along, -bracket, bracket)
                 if ft < fx:
                     row = x[sl].copy()
                     row[i] += t
@@ -489,7 +556,7 @@ def _minimum(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
         # regime, so also polish from that (purely numerical) solution and
         # keep the better of the two.
         x_ml, _ = sweep.polish(ImplicitKind.CORRECT_ML, rate)
-        value = min(value, _polish(_Objective(kind, rate, sweep), x_ml)[1])
+        value = min(value, sweep.descend(kind, rate, x_ml)[1])
     return max(float(value), 0.0)
 
 
@@ -509,8 +576,9 @@ def implicit_exponent(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
 def cc_bound(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
     """Constant-composition counterpart: the objective of
     ``implicit_exponent`` restricted to joint masses Q(x) W(y|x), minimized
-    over the conditionals W of ``sweep`` (a ``conditional_sweep``).  There
-    D(ToV || TxQ) is I(QoW).  +inf for CORRECT_STRICT when I(QoW) >= rate is
+    over the conditionals W of ``sweep`` (a ``conditional_sweep``): the same
+    polish, then SLSQP on the epigraph form.  There D(ToV || TxQ) is I(QoW).
+    +inf for CORRECT_STRICT when I(QoW) >= rate is
     infeasible on the grid (e.g. rate above the entropy of Q)."""
     if not sweep.conditional:
         raise ValueError("cc_bound minimizes over a conditional_sweep")

@@ -37,7 +37,6 @@ from nts.oracle import (
     _minimize_over_support,
     _on_support,
     _output_metrics,
-    _project_rows,
     cc_bound,
     competitor_class_table,
     conditional_sweep,
@@ -181,27 +180,60 @@ class TestCcBound:
             [0.46239425945954377, 0.5376057405404562], 0.5647731680459273,
             (ImplicitKind.CORRECT_ML,),
         ),
+        (
+            # The minimum sits where the kink meets a face (W(.|1) = [0, 1, 0]);
+            # the polish alone stalled at 0.1860288 next to it.
+            [[0.5220853262752284, 0.2896919947172378, 0.1882226790075339],
+             [0.10630167027395182, 0.7440668006106922, 0.149631529115356]],
+            [0.7438257514079748, 0.25617424859202526], 0.4266613000919923,
+            (ImplicitKind.CORRECT_ML,),
+        ),
+        (
+            # Two basins: line searches over a quarter of a row stayed in the
+            # one at 0.66816; spanning the whole row reaches 0.58694.
+            [[0.33701938725538455, 0.35366830631718615, 0.3093123064274293],
+             [0.01674067033352753, 0.7292708892897852, 0.2539884403766872],
+             [0.14638708596555744, 0.18736329866035448, 0.6662496153740881]],
+            [0.8893085217754646, 0.0921016189472757, 0.018589859277259767], 0.3826072099284076,
+            (ImplicitKind.CORRECT_STRICT,),
+        ),
     ])
     def test_no_higher_than_a_multistart_nelder_mead(self, rows, q, rate, kinds):
         p, q = np.array(rows), np.array(q)
         got = {kind: cc_bound(kind, rate, conditional_sweep(Distribution(q), Channel(p), 60)) for kind in kinds}
         for kind in kinds:
             sign = 1.0 if kind is ImplicitKind.ERROR_IID else -1.0
+            weight = oracle._STRICT_PENALTY if kind is ImplicitKind.CORRECT_STRICT else 1.0
 
             def objective(logits):
-                # D(QoW || QoP) + [sign (I(QoW) - rate)]^+ over softmax rows W.
+                # D(QoW || QoP) + weight [sign (I(QoW) - rate)]^+ over softmax
+                # rows W.
                 w = np.exp(logits.reshape(p.shape) - logits.reshape(p.shape).max(axis=1, keepdims=True))
                 w /= w.sum(axis=1, keepdims=True)
                 joint = q[:, None] * w
-                d = float((joint * np.log(w / p)).sum())
-                mi = float((joint * np.log(w / joint.sum(axis=0))).sum())
-                return d + max(sign * (mi - rate), 0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # Rows can underflow to a 0 entry, whose term is 0.
+                    d = float(np.where(joint > 0, joint * np.log(w / p), 0.0).sum())
+                    mi = float(np.where(joint > 0, joint * np.log(w / joint.sum(axis=0)), 0.0).sum())
+                return d + weight * max(sign * (mi - rate), 0.0)
 
             rng = np.random.default_rng(0)
             starts = [np.log(p).ravel()] + [rng.normal(scale=2.0, size=p.size) for _ in range(19)]
             options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000}
             ref = min(minimize(objective, x0, method="Nelder-Mead", options=options).fun for x0 in starts)
             assert got[kind] <= ref + 1e-9
+
+    def test_zero_minimum_is_exact(self):
+        # I(QoP) >= rate, so W = P gives 0; the polish alone returned 4.4e-16.
+        p = Channel(np.array([
+            [0.0, 0.053153616908658004, 0.9468463830913421],
+            [0.07226941158904542, 0.18286452727348443, 0.7448660611374702],
+            [0.17742516945531964, 0.812721459450448, 0.009853371094232288],
+        ]))
+        q = Distribution(np.array([0.058335323487315835, 0.2676464997197525, 0.6740181767929316]))
+        sweep = conditional_sweep(q, p, 60)
+        for kind in (ImplicitKind.CORRECT_ML, ImplicitKind.CORRECT_STRICT):
+            assert cc_bound(kind, 0.1106974348991677, sweep) == 0.0
 
 
 class TestExactFiniteN:
@@ -856,6 +888,17 @@ def _reference_value(obj: _Objective, m: np.ndarray) -> float:
     return d + weight * max(sign * (g - obj.rate), 0.0)
 
 
+def _reference_projection(v: np.ndarray) -> np.ndarray:
+    """The one-row sort-based projection that ``project_simplex`` batches."""
+    n = v.size
+    a = -np.sort(-v)
+    cum = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
+    above = np.nonzero(a > cum)[0]
+    if above.size == 0:
+        return _reference_projection(v - v.max())
+    return np.maximum(v - cum[above[-1]], 0.0)
+
+
 @st.composite
 def rows_to_project(draw):
     """A batch of rows, with repeated, zero and far-apart entries."""
@@ -889,14 +932,15 @@ class TestBatchedLineSearch:
 
     @settings(max_examples=300, deadline=None)
     @given(rows_to_project())
-    def test_row_projection_is_project_simplex(self, rows):
-        for row, projected in zip(rows, _project_rows(rows)):
-            assert np.array_equal(projected, project_simplex(row))
+    def test_projection_is_the_one_row_projection(self, rows):
+        for row, projected in zip(rows, project_simplex(rows)):
+            assert np.array_equal(projected, _reference_projection(row))
+            assert np.array_equal(project_simplex(row), _reference_projection(row))
 
-    def test_row_projection_beyond_float_resolution(self):
+    def test_projection_beyond_float_resolution(self):
         rows = np.array([[1e17, -1e17, 0.0], [0.2, 0.3, 0.5], [-1e17, 1e17, 1e17]])
-        for row, projected in zip(rows, _project_rows(rows)):
-            assert np.array_equal(projected, project_simplex(row))
+        for row, projected in zip(rows, project_simplex(rows)):
+            assert np.array_equal(projected, _reference_projection(row))
 
 
 class TestSupportGradient:
