@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -238,19 +237,9 @@ def num_compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def compositions_iter(total: int, parts: int) -> Iterator[tuple]:
-    """Lexicographic stream of all compositions of ``total`` into ``parts`` parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions_iter(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def compositions_array(total: int, parts: int) -> np.ndarray:
-    """All compositions as an int64 array of shape (count, parts), in the
-    lexicographic order of ``compositions_iter``.
+    """All compositions of ``total`` into ``parts`` non-negative parts, as an
+    int64 array of shape (count, parts) in lexicographic order.
 
     Stars and bars: each composition is a choice of ``parts - 1`` bar slots
     among ``total + parts - 1``, and its parts are the gaps between bars.

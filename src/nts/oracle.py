@@ -1,15 +1,15 @@
 """Independent ground truth for the exponent machinery.
 
 The cross-checks use none of the tilted closed forms: the implicit exponents
-are minimized numerically over joint types (grid sweep at a type denominator,
-then projected-gradient and coordinate descent), the constant-composition
+are minimized numerically over joint types, and the constant-composition
 bounds minimize the same objective over the joint masses Q(x) W(y|x), one
-channel conditional W per point, and finish with SLSQP on its epigraph form,
-and finite-blocklength event probabilities are computed exactly by
-enumerating types.  The
-convergence-condition right-hand side is a brute-force minimum over small
-supports; it is not a cross-check, and it evaluates E0 with the tilted kernel
-of the exponents module.
+channel conditional W per point.  Both minima take the same steps: a grid
+sweep at a type denominator, projected-gradient and coordinate descent, a
+start at the channel point (joint mass QoP) when it is lower, and SLSQP on
+the epigraph form.  Finite-blocklength event probabilities are computed
+exactly by enumerating types.  The convergence-condition right-hand side is
+a brute-force minimum over small supports; it is not a cross-check, and it
+evaluates E0 with the tilted kernel of the exponents module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .itcore import (
     TIE_TOL,
     codebook_size,
     compositions_array,
-    compositions_iter,
     guarded_log,
     num_compositions,
     xlogx,
@@ -236,17 +235,6 @@ def _grid_objective(kind: ImplicitKind, rate: float, d: np.ndarray, metric: np.n
     return obj
 
 
-def _batch_terms(masses: np.ndarray, q: Distribution, p: Channel):
-    """(D(m||QoP), D(m||TxQ)) for a batch of joint masses of shape (N, ny, nx).
-
-    Rows placing mass outside supp(Q o P) get D = +inf; the metric term is
-    +inf only where mass sits outside supp(Q) (a subset of the former)."""
-    qp = q.probs[None, :] * p.matrix.T  # (ny, nx)
-    d = xlogx(masses).sum(axis=(1, 2)) - (masses * guarded_log(qp, 0.0)).sum(axis=(1, 2))
-    d[masses[:, qp == 0].any(axis=1)] = np.inf
-    return d, decode_metric(masses, 1, q)
-
-
 class Sweep:
     """The grid of a brute-force minimum and its terms (d, metric), shared by
     every kind and rate on one (Q, P).
@@ -264,11 +252,14 @@ class Sweep:
         self.row_len = p.num_outputs if conditional else grid.shape[1]
         self.bracket = 1.0 if conditional else 0.25
         self.support = q.support
+        qp = q.probs[None, :] * p.matrix.T  # (|Y|, |X|)
+        self.logqp, self.logq, self.qp_zero = guarded_log(qp, 0.0), guarded_log(q.probs, 0.0), qp == 0
+        # The channel point: its joint mass is QoP, so d is exactly 0 there.
+        self.channel_point = p.matrix[self.support].ravel() if conditional else qp.ravel()
         # Chunks of 2**15 points keep the joint masses and their temporaries
         # small next to the grid; each point's terms are its own.
-        chunks = [_batch_terms(self.masses(grid[i : i + 2**15]), q, p) for i in range(0, grid.shape[0], 2**15)]
-        self.d = np.concatenate([d for d, _ in chunks])
-        self.metric = np.concatenate([metric for _, metric in chunks])
+        chunks = [self.terms(grid[i : i + 2**15])[:2] for i in range(0, grid.shape[0], 2**15)]
+        self.d, self.metric = (np.concatenate(part) for part in zip(*chunks))
         self.polished = {}
 
     def masses(self, x: np.ndarray) -> np.ndarray:
@@ -280,6 +271,23 @@ class Sweep:
         for k, letter in enumerate(self.support.tolist()):
             m[:, :, letter] = x[:, k * ny : (k + 1) * ny] * self.q.probs[letter]
         return m
+
+    def terms(self, x: np.ndarray):
+        """(d, g, log m, log t) at each point of ``x`` (B, size), with m its
+        joint mass and t the output marginal of m: d = D(m || QoP), +inf where
+        m sits where QoP is zero, and g = D(m || TxQ).  The logs are floored
+        at 1e-300, for the gradients."""
+        m = self.masses(x)
+        pos = m > 0
+        logm = np.log(np.maximum(m, 1e-300))
+        mlogm = np.where(pos, m * logm, 0.0).sum(axis=(1, 2))
+        d = mlogm - (m * self.logqp).sum(axis=(1, 2))
+        d[(pos & self.qp_zero).any(axis=(1, 2))] = np.inf
+        t = m.sum(axis=2)
+        logt = np.log(np.maximum(t, 1e-300))
+        tlogt = np.where(t > 0, t * logt, 0.0).sum(axis=1)
+        g = mlogm - tlogt - (m * self.logq).sum(axis=(1, 2))
+        return d, g, logm, logt
 
     def chain(self, grad: np.ndarray) -> np.ndarray:
         """A gradient in the joint mass (|Y|, |X|) as one in the point."""
@@ -313,17 +321,14 @@ class Sweep:
         return self.polished[key]
 
     def descend(self, kind: ImplicitKind, rate: float, x0: np.ndarray):
-        """(point, value) of ``_polish`` from ``x0``.  On the conditionals,
-        then of ``_epigraph_descent`` from there, or from the channel's own
-        rows if they are lower: d is exactly 0 there, so a zero minimum is
-        found without roundoff."""
+        """(point, value) of ``_polish`` from ``x0``, then of
+        ``_epigraph_descent`` from the polished point, or from the channel
+        point if it is lower: d is exactly 0 there, so a zero minimum is found
+        without roundoff."""
         obj = _Objective(kind, rate, self)
         x, fx = _polish(obj, x0)
-        if not self.conditional:
-            return x, fx
-        rows = self.p.matrix[self.support].ravel()
-        f_rows = float(obj.values(rows[None])[0])
-        return _epigraph_descent(obj, *((rows, f_rows) if f_rows < fx else (x, fx)))
+        f_channel = float(obj.values(self.channel_point[None])[0])
+        return _epigraph_descent(obj, *((self.channel_point, f_channel) if f_channel < fx else (x, fx)))
 
 
 def _sweep(q: Distribution, p: Channel, resolution: int, conditional: bool) -> Sweep:
@@ -365,35 +370,18 @@ class _Objective:
     point and gives a (sub)gradient too; ``fg``'s value is row 0 of
     ``values``."""
 
-    _FLOOR = 1e-300
-
     def __init__(self, kind: ImplicitKind, rate: float, sweep: Sweep):
-        q, p = sweep.q, sweep.p
-        qp = q.probs[None, :] * p.matrix.T
-        self.logqp = guarded_log(qp, 0.0)
-        self.logq = guarded_log(q.probs, 0.0)
-        self.qp_zero = qp == 0
         self.rule = _KIND_RULES[kind]
         self.rate = rate
         self.sweep = sweep
 
     def _terms(self, x: np.ndarray):
-        m = self.sweep.masses(x)
-        pos = m > 0
-        logm = np.log(np.maximum(m, self._FLOOR))
-        mlogm = np.where(pos, m * logm, 0.0).sum(axis=(1, 2))
-        d = mlogm - (m * self.logqp).sum(axis=(1, 2))
-        t = m.sum(axis=2)
-        logt = np.log(np.maximum(t, self._FLOOR))
-        tlogt = np.where(t > 0, t * logt, 0.0).sum(axis=1)
-        g = mlogm - tlogt - (m * self.logq).sum(axis=(1, 2))
+        d, g, logm, logt = self.sweep.terms(x)
         sign, weight = self.rule
         excess = sign * (g - self.rate)
         # np.where rather than np.maximum: max(excess, 0.0) as Python takes it,
         # signed zeros included.
-        value = d + weight * np.where(0.0 > excess, 0.0, excess)
-        value[(pos & self.qp_zero).any(axis=(1, 2))] = np.inf
-        return value, d, excess, logm, logt
+        return d + weight * np.where(0.0 > excess, 0.0, excess), d, excess, logm, logt
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """The objective at each point of ``x`` (B, size)."""
@@ -401,15 +389,15 @@ class _Objective:
 
     def _grad_d(self, logm: np.ndarray) -> np.ndarray:
         """The gradient of d in the joint mass."""
-        grad_d = logm + 1.0 - self.logqp
-        grad_d[self.qp_zero] = 1e6  # forbidden cells: repel
+        grad_d = logm + 1.0 - self.sweep.logqp
+        grad_d[self.sweep.qp_zero] = 1e6  # forbidden cells: repel
         return grad_d
 
     def _grad_other(self, grad_d: np.ndarray, logm: np.ndarray, logt: np.ndarray) -> np.ndarray:
         """The gradient of d + weight * excess in the point."""
         sign, weight = self.rule
-        grad_g = logm - logt[:, None] - self.logq[None, :]
-        grad_g[self.qp_zero] = 0.0
+        grad_g = logm - logt[:, None] - self.sweep.logq[None, :]
+        grad_g[self.sweep.qp_zero] = 0.0
         return self.sweep.chain(grad_d + sign * weight * grad_g)
 
     def pieces(self, x: np.ndarray):
@@ -456,7 +444,7 @@ def _epigraph_descent(obj: _Objective, x0: np.ndarray, f0: float):
     simplices; here the kink is a constraint.  Returns (x0, f0) unless the
     point reached, clipped to the simplices, has a lower objective."""
     # Imported here: it takes about a quarter of a second and 23 MB, and only
-    # the constant-composition minima use it.
+    # the brute-force minima use it.
     from scipy.optimize import minimize
 
     size, row_len = x0.size, obj.sweep.row_len
@@ -477,7 +465,7 @@ def _epigraph_descent(obj: _Objective, x0: np.ndarray, f0: float):
         }
 
     sums = np.hstack([np.kron(np.eye(size // row_len), np.ones(row_len)), np.zeros((size // row_len, 1))])
-    forbidden = obj.sweep.chain(obj.qp_zero * 1.0) != 0  # chain scales by Q(x) > 0
+    forbidden = obj.sweep.chain(obj.sweep.qp_zero * 1.0) != 0  # chain scales by Q(x) > 0
     objective_grad = np.append(np.zeros(size), 1.0)
     res = minimize(
         lambda z: z[-1], np.append(x0, f0), jac=lambda z: objective_grad, method="SLSQP",
@@ -564,7 +552,8 @@ def implicit_exponent(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
     """Brute-force value of the implicit exponent expression selected by ``kind``.
 
     Minimizes over the joint types of ``sweep`` (a ``joint_sweep``): the best
-    grid point, refined by projected-gradient and coordinate descent.  For
+    grid point, refined by projected-gradient and coordinate descent, then
+    SLSQP on the epigraph form from there or from QoP if it is lower.  For
     CORRECT_STRICT the feasible set is D(ToV || TxQ) >= rate; +inf is returned
     when no grid point is feasible.
     """
@@ -576,8 +565,9 @@ def implicit_exponent(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
 def cc_bound(kind: ImplicitKind, rate: float, sweep: Sweep) -> float:
     """Constant-composition counterpart: the objective of
     ``implicit_exponent`` restricted to joint masses Q(x) W(y|x), minimized
-    over the conditionals W of ``sweep`` (a ``conditional_sweep``): the same
-    polish, then SLSQP on the epigraph form.  There D(ToV || TxQ) is I(QoW).
+    over the conditionals W of ``sweep`` (a ``conditional_sweep``) with the
+    same steps: the polish, then SLSQP on the epigraph form from there or from
+    the channel's own rows if they are lower.  There D(ToV || TxQ) is I(QoW).
     +inf for CORRECT_STRICT when I(QoW) >= rate is
     infeasible on the grid (e.g. rate above the entropy of Q)."""
     if not sweep.conditional:
@@ -790,8 +780,7 @@ def exact_finite_n(
     p_correct = 0.0
     p_f1 = 0.0
     blocks = []
-    for r in compositions_iter(n, ny):
-        r = np.asarray(r, dtype=int)
+    for r in compositions_array(n, ny):
         parts = [_output_part(ry, allowed[y], logw[y], logq[y], n) for y, ry in enumerate(r.tolist())]
         if any(part is None for part in parts):
             continue  # a received output that supp(Q) cannot reach

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nts.cli
 from nts.cli import ConfigError, _exact_json, _fmt, parse_config, run_command
 from nts.exponents import (
     Boundary,
@@ -489,3 +493,15 @@ class TestOtherCommands:
             if row[4] != "NA":
                 assert float(row[4]) < 0.06
         assert (out / "cc_bound.csv").exists()
+
+
+class TestImportCost:
+    def test_importing_the_cli_leaves_scipy_optimize_out(self):
+        # scipy.optimize adds about 0.2 s and 21 MB to a process.  The
+        # brute-force minima import it when they first run, so the commands
+        # that run none of them never pay for it.
+        src = os.path.dirname(os.path.dirname(nts.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, nts.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

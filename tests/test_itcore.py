@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compositions_reference import compositions_iter
 from nts.itcore import (
     Channel,
     Distribution,
@@ -12,7 +13,6 @@ from nts.itcore import (
     MAX_LOG_CODEBOOK,
     codebook_size,
     compositions_array,
-    compositions_iter,
     empirical_joint_type,
     kl_joint,
     mutual_information,

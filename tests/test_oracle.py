@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
+from compositions_reference import compositions_iter
 from nts.itcore import (
     Channel,
     Distribution,
@@ -17,7 +18,6 @@ from nts.itcore import (
     TIE_TOL,
     codebook_size,
     compositions_array,
-    compositions_iter,
     guarded_log,
 )
 from nts.exponents import _log_partition, capacity, correct_exponent_ml, error_exponent, tilted_joint
@@ -51,6 +51,10 @@ from nts.oracle import (
 
 BSC = Channel.bsc(0.1)
 UNIF = Distribution.uniform(2)
+# A 3x3 channel and Q where, at R = 0.55556, the CORRECT_ML minimum sits
+# where the kink of [excess]^+ meets a face of the simplex.
+KINK_ROWS = [[0.0, 0.3149, 0.6851], [0.1456, 0.4927, 0.3617], [0.8003, 0.1121, 0.0876]]
+KINK_Q = [v / 0.9999 for v in (0.2714, 0.1803, 0.5482)]
 
 
 class TestImplicitExponent:
@@ -66,6 +70,12 @@ class TestImplicitExponent:
     def test_correct_ml_matches_explicit(self):
         val = implicit_exponent(ImplicitKind.CORRECT_ML, 0.55, joint_sweep(UNIF, BSC, 60))
         assert val == pytest.approx(correct_exponent_ml(0.55, UNIF, BSC).value, abs=2e-2)
+
+    def test_correct_ml_where_the_kink_meets_a_face(self):
+        # The polish alone stalled at 0.0651 here.
+        q, p = Distribution(np.array(KINK_Q)), Channel(np.array(KINK_ROWS))
+        val = implicit_exponent(ImplicitKind.CORRECT_ML, 0.55556, joint_sweep(q, p, 60))
+        assert val == pytest.approx(correct_exponent_ml(0.55556, q, p).value, abs=1e-9)
 
     def test_strict_infeasible_is_inf(self):
         # Max achievable metric is -log min Q(x) = log 2 for uniform binary Q.
@@ -132,11 +142,15 @@ class TestOracleBoundary:
 
     def test_zero_exponent_is_exactly_zero(self):
         # Rate 0.3 is below I(Q o P) of BSC(0.1), so both correct-decoding
-        # minima are zero; the refinement used to end at -2.2e-16.
+        # minima are zero; the refinement used to end at -2.2e-16.  The
+        # ternary rate is above I(Q o P), so the error exponent is zero; the
+        # polish alone ended at 6.66e-16 there.
         joint, conditional = joint_sweep(UNIF, BSC, 60), conditional_sweep(UNIF, BSC, 60)
         for kind in (ImplicitKind.CORRECT_ML, ImplicitKind.CORRECT_STRICT):
             assert implicit_exponent(kind, 0.3, joint) == 0.0
             assert cc_bound(kind, 0.3, conditional) == 0.0
+        ternary = joint_sweep(Distribution.uniform(3), Channel(np.array(TERNARY[0])), 60)
+        assert implicit_exponent(ImplicitKind.ERROR_IID, 0.5150124947027395, ternary) == 0.0
 
 
 class TestCcBound:
@@ -197,31 +211,51 @@ class TestCcBound:
             [0.8893085217754646, 0.0921016189472757, 0.018589859277259767], 0.3826072099284076,
             (ImplicitKind.CORRECT_STRICT,),
         ),
+        (
+            # The joint polish alone stalled at 0.0651 (the closed form gives
+            # 0.04397).
+            KINK_ROWS, KINK_Q, 0.55556, (ImplicitKind.CORRECT_ML,),
+        ),
     ])
     def test_no_higher_than_a_multistart_nelder_mead(self, rows, q, rate, kinds):
+        # Each minimum against Nelder-Mead from 20 starts over a softmax
+        # parametrization: of the rows W on the cells where P is positive
+        # (cc_bound), and of the joint mass on the cells where QoP is positive
+        # (implicit_exponent).
         p, q = np.array(rows), np.array(q)
-        got = {kind: cc_bound(kind, rate, conditional_sweep(Distribution(q), Channel(p), 60)) for kind in kinds}
+        qp = q[:, None] * p  # (|X|, |Y|)
+        dist, channel = Distribution(q), Channel(p)
+        conditional, joint = conditional_sweep(dist, channel, 60), joint_sweep(dist, channel, 60)
+
+        def softmax(logits, allowed, axis):
+            z = np.full(allowed.shape, -np.inf)
+            z[allowed] = logits
+            w = np.exp(z - z.max(axis=axis, keepdims=True))
+            return w / w.sum(axis=axis, keepdims=True)
+
+        def reference(objective, start):
+            rng = np.random.default_rng(0)
+            starts = [start] + [rng.normal(scale=2.0, size=start.size) for _ in range(19)]
+            options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000}
+            return min(minimize(objective, x0, method="Nelder-Mead", options=options).fun for x0 in starts)
+
         for kind in kinds:
             sign = 1.0 if kind is ImplicitKind.ERROR_IID else -1.0
             weight = oracle._STRICT_PENALTY if kind is ImplicitKind.CORRECT_STRICT else 1.0
 
-            def objective(logits):
-                # D(QoW || QoP) + weight [sign (I(QoW) - rate)]^+ over softmax
-                # rows W.
-                w = np.exp(logits.reshape(p.shape) - logits.reshape(p.shape).max(axis=1, keepdims=True))
-                w /= w.sum(axis=1, keepdims=True)
-                joint = q[:, None] * w
+            def objective(m):
+                # D(m || QoP) + weight [sign (D(m || TxQ) - rate)]^+ at a
+                # joint mass m (|X|, |Y|).
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    # Rows can underflow to a 0 entry, whose term is 0.
-                    d = float(np.where(joint > 0, joint * np.log(w / p), 0.0).sum())
-                    mi = float(np.where(joint > 0, joint * np.log(w / joint.sum(axis=0)), 0.0).sum())
-                return d + weight * max(sign * (mi - rate), 0.0)
+                    # Masses can underflow to a 0 entry, whose term is 0.
+                    d = float(np.where(m > 0, m * np.log(m / qp), 0.0).sum())
+                    g = float(np.where(m > 0, m * np.log(m / (q[:, None] * m.sum(axis=0))), 0.0).sum())
+                return d + weight * max(sign * (g - rate), 0.0)
 
-            rng = np.random.default_rng(0)
-            starts = [np.log(p).ravel()] + [rng.normal(scale=2.0, size=p.size) for _ in range(19)]
-            options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000}
-            ref = min(minimize(objective, x0, method="Nelder-Mead", options=options).fun for x0 in starts)
-            assert got[kind] <= ref + 1e-9
+            cc_ref = reference(lambda z: objective(q[:, None] * softmax(z, p > 0, 1)), np.log(p[p > 0]))
+            joint_ref = reference(lambda z: objective(softmax(z, qp > 0, None)), np.log(qp[qp > 0]))
+            assert cc_bound(kind, rate, conditional) <= cc_ref + 1e-9
+            assert implicit_exponent(kind, rate, joint) <= joint_ref + 1e-9
 
     def test_zero_minimum_is_exact(self):
         # I(QoP) >= rate, so W = P gives 0; the polish alone returned 4.4e-16.

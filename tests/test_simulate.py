@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nts.itcore import Channel, Distribution, ResourceLimitError, compositions_iter
+from compositions_reference import compositions_iter
+from nts.itcore import Channel, Distribution, ResourceLimitError
 from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n
 from nts.simulate import (
     LITERAL_CELL_CAP,
