@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -77,16 +77,6 @@ class RunManifest:
     version: str
     timestamp: str
     outputs: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "outputs": list(self.outputs),
-        }
 
 
 def _require_keys(obj: dict, allowed: set, where: str):
@@ -162,6 +152,8 @@ def parse_config(path: str):
                 raise ConfigError(f"params.rate_grid.{key}", "missing")
             if not _is_finite_number(rg[key]):
                 raise ConfigError(f"params.rate_grid.{key}", f"must be a finite number, got {rg[key]!r}")
+        if rg["start"] < 0:
+            raise ConfigError("params.rate_grid.start", f"must be a finite number >= 0, got {rg['start']!r}")
         if rg["step"] <= 0 or rg["stop"] < rg["start"]:
             raise ConfigError("params.rate_grid", "need step > 0 and stop >= start")
         if not _grid_span(rg) < _MAX_RATES:
@@ -220,7 +212,7 @@ def _emit_manifest(out_dir: str, command: str, params: dict, seed, outputs: list
         timestamp=datetime.now(timezone.utc).isoformat(),
         outputs=tuple(outputs),
     )
-    _write_json(os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json"), manifest.to_dict())
+    _write_json(os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json"), asdict(manifest))
 
 
 def _grid_span(rg: dict) -> float:
@@ -257,6 +249,8 @@ def _cmd_curves(channel: Channel, q0: Distribution, params: dict, out_dir: str) 
 
 def _cmd_iterate_rate(channel: Channel, q0: Distribution, params: dict, out_dir: str) -> list:
     rate = float(_need(params, "rate", "iterate-rate"))
+    # First, so that a refusal (SUPPORT_INPUT_CAP) leaves no output behind.
+    check = check_lower_than(q0, rate, channel)
     run = fixed_rate_run(q0, rate, channel)
     rows = []
     for l, rec in enumerate(run.records):
@@ -267,20 +261,13 @@ def _cmd_iterate_rate(channel: Channel, q0: Distribution, params: dict, out_dir:
     header = ["l", "exponent", "kl_next_prev", "rho_hat"] + [f"q{i}" for i in range(len(q0))]
     csv_path = os.path.join(out_dir, "iterate_rate.csv")
     _write_csv(csv_path, header, rows)
-
-    check = check_lower_than(q0, rate, channel)
     summary = {
         "iterations": len(run.records),
         "final_exponent": run.final_exponent,
         "reached_zero": run.reached_zero,
         "support_shrank": run.support_shrank,
         "final_q": [float(v) for v in run.final_q.probs],
-        "check_lower_than": {
-            "holds": check.holds,
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "worst_support": list(check.worst_support) if check.worst_support else None,
-        },
+        "check_lower_than": asdict(check),
     }
     json_path = os.path.join(out_dir, "iterate_rate_summary.json")
     _write_json(json_path, summary)
@@ -422,26 +409,7 @@ def _cmd_simulate(channel: Channel, q0: Distribution, params: dict, out_dir: str
         ["block", "decoded", "correct", "feedback", "winner_metric", "runner_up_metric"],
         rows,
     )
-    s = result.summary
-    summary = {
-        "blocks": s.blocks,
-        "feedback_rate": s.feedback_rate,
-        "error_rate": s.error_rate,
-        "updates": s.updates,
-        "desync_blocks": list(s.desync_blocks),
-        "q_final": [float(v) for v in s.q_final.probs],
-        "update_stats": [
-            {
-                "block": u.block,
-                "desync": u.desync,
-                "l1_to_minimizer": u.l1_to_minimizer,
-                "guard_holds": u.guard_holds,
-                "error_exp_at_rate": u.error_exp_at_rate,
-                "correct_exp_at_rate_plus_delta": u.correct_exp_at_rate_plus_delta,
-            }
-            for u in s.update_stats
-        ],
-    }
+    summary = {**asdict(result.summary), "q_final": result.summary.q_final.probs.tolist()}
     json_path = os.path.join(out_dir, "simulate_summary.json")
     _write_json(json_path, summary)
     return [csv_path, json_path]

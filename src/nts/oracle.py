@@ -172,30 +172,40 @@ def _golden_step(lo: float, hi: float, c: float, d: float, left: bool):
 _TREE_LEFT = [True, False] * 7
 
 
-def _golden_min(fun, lo: float, hi: float):
-    """Golden-section search for a minimum of ``fun`` on [lo, hi]: 44 steps,
-    each keeping the side of the lower interior value (the left one on
-    ties).  Returns (point, value).
+def _golden_min(fun, lo: np.ndarray, hi: np.ndarray):
+    """Golden-section searches for a minimum of ``fun`` on each bracket
+    [lo[b], hi[b]], in lockstep: 44 steps, each keeping the side of the lower
+    interior value (the left one on ties).  Returns (points, values), one
+    per bracket.
 
-    ``fun`` maps an array of points to an array of their values.  Each call
-    takes every point that the next four steps could place (1 + 2 + 4 + 8),
-    then the steps follow the actual comparisons: the search places the
-    points of a one-point-per-call search, bit for bit, in 12 calls instead
-    of 46."""
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fc, fd = fun(np.array([c, d])).tolist()
+    ``fun`` maps a (B, k) array of points, row b on bracket b, to their
+    values.  Each call takes every point that the next four steps of each
+    bracket could place (1 + 2 + 4 + 8), then the steps follow the actual
+    comparisons: each bracket places the points of a one-point-per-call
+    search, bit for bit, in 12 calls instead of 46.  The steps run in Python
+    floats."""
+    state = [(a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)) for a, b in zip(lo.tolist(), hi.tolist())]
+    f = fun(np.array([s[2:] for s in state])).tolist()
     for _ in range(11):
-        lefts = [fc <= fd] + _TREE_LEFT
-        tree = [_golden_step(lo, hi, c, d, lefts[0])]
-        for k in range(7):
-            tree += [_golden_step(*tree[k], True), _golden_step(*tree[k], False)]
-        values = fun(np.array([s[2] if left else s[3] for s, left in zip(tree, lefts)])).tolist()
-        k = 0
-        for _ in range(4):
-            lo, hi, c, d = tree[k]
-            fc, fd = (values[k], fc) if lefts[k] else (fd, values[k])
-            k = 2 * k + (1 if fc <= fd else 2)
-    return (c, fc) if fc <= fd else (d, fd)
+        trees, points = [], []
+        for s, (fc, fd) in zip(state, f):
+            lefts = [fc <= fd] + _TREE_LEFT
+            tree = [_golden_step(*s, lefts[0])]
+            for k in range(7):
+                tree += [_golden_step(*tree[k], True), _golden_step(*tree[k], False)]
+            trees.append((tree, lefts))
+            points.append([t[2] if left else t[3] for t, left in zip(tree, lefts)])
+        values = fun(np.array(points)).tolist()
+        for b, ((tree, lefts), vals) in enumerate(zip(trees, values)):
+            fc, fd = f[b]
+            k = 0
+            for _ in range(4):
+                state[b] = tree[k]
+                fc, fd = (vals[k], fc) if lefts[k] else (fd, vals[k])
+                k = 2 * k + (1 if fc <= fd else 2)
+            f[b] = fc, fd
+    best = [(s[2], fc) if fc <= fd else (s[3], fd) for s, (fc, fd) in zip(state, f)]
+    return np.array([t for t, _ in best]), np.array([ft for _, ft in best])
 
 
 def _pgd_on_simplex(fg, x0: np.ndarray, project=project_simplex):
@@ -508,14 +518,14 @@ def _refine_rows(values, x0: np.ndarray, row_len: int, bracket: float):
         for r in range(nrows):
             sl = slice(r * row_len, (r + 1) * row_len)
             for i in range(row_len):
-                def along(ts, sl=sl, i=i):
+                def along(ts, sl=sl, i=i):  # ts (1, k): one bracket's points
                     rows = np.repeat(x[None, sl], ts.size, axis=0)
-                    rows[:, i] += ts
+                    rows[:, i] += ts[0]
                     cand = np.repeat(x[None], ts.size, axis=0)
                     cand[:, sl] = project_simplex(rows)
-                    return values(cand)
+                    return values(cand)[None]
 
-                t, ft = _golden_min(along, -bracket, bracket)
+                t, ft = (float(v[0]) for v in _golden_min(along, np.array([-bracket]), np.array([bracket])))
                 if ft < fx:
                     row = x[sl].copy()
                     row[i] += t
@@ -899,54 +909,30 @@ def _on_support(support, x: np.ndarray, nx: int) -> np.ndarray:
     return full
 
 
-# Points of the start grid of the two-letter zoom.
+# Points of the start grid of the two-letter search.
 _PAIR_GRID = 24
-# Interior points per bracket and round of the two-letter zoom; each round
-# keeps two of their 17 steps.
-_ZOOM_POINTS = 16
 
 
-def _minimize_over_pairs(obj: _SupportObjective, pairs: list, resolution: int) -> np.ndarray:
+def _minimize_over_pairs(obj: _SupportObjective, pairs: list) -> np.ndarray:
     """Minimum of Q -> E_c^ML over Q = (t, 1 - t) on each two-letter support
     of ``pairs``, all pairs in lockstep.
 
     The value is convex in t, so the neighbours of the argmin of any grid
-    bracket the minimum.  A start grid gives each pair its bracket; every round
-    evaluates ``_ZOOM_POINTS`` interior points of each live bracket in one
-    batch and keeps the two steps around the argmin, until the bracket is as
-    narrow as a 44-step golden section would leave it.
+    bracket the minimum.  A start grid of ``_PAIR_GRID`` points gives each
+    pair its bracket, a golden section searches it, and the lower of the
+    golden and grid minima is kept.
     """
     nx = obj.matrix.shape[0]
-    grid = np.linspace(0.0, 1.0, max(resolution, 5))
 
-    def values(ps, ts):  # ts (P, k) -> values (P, k)
-        rows = np.stack([_on_support(pair, np.stack([t, 1.0 - t], axis=-1), nx) for pair, t in zip(ps, ts)])
+    def values(ts):  # ts (P, k) -> values (P, k)
+        rows = np.stack([_on_support(pair, np.stack([t, 1.0 - t], axis=-1), nx) for pair, t in zip(pairs, ts)])
         return obj.values_and_rhos(rows.reshape(-1, nx))[0].reshape(ts.shape)
 
-    ts = np.broadcast_to(grid, (len(pairs), grid.size))
-    fs = values(pairs, ts)
-    best = fs.min(axis=1)
-    live = np.arange(len(pairs))
-    interior = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
-    stop = None
-    while True:
-        # Each live row's bracket: the steps on either side of its argmin.
-        k = fs.argmin(axis=1)
-        rows = np.arange(live.size)
-        lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, ts.shape[1] - 1)
-        t_lo, t_hi, f_lo, f_hi = ts[rows, lo], ts[rows, hi], fs[rows, lo], fs[rows, hi]
-        if stop is None:
-            stop = (t_hi - t_lo) * _GOLDEN**44
-        keep = t_hi - t_lo > stop
-        if not keep.any():
-            return best
-        live, stop = live[keep], stop[keep]
-        t_lo, t_hi, f_lo, f_hi = t_lo[keep], t_hi[keep], f_lo[keep], f_hi[keep]
-        t_in = t_lo[:, None] + (t_hi - t_lo)[:, None] * interior
-        f_in = values([pairs[j] for j in live], t_in)
-        ts = np.column_stack((t_lo, t_in, t_hi))
-        fs = np.column_stack((f_lo, f_in, f_hi))
-        best[live] = np.minimum(best[live], f_in.min(axis=1))
+    grid = np.linspace(0.0, 1.0, _PAIR_GRID)
+    fs = values(np.tile(grid, (len(pairs), 1)))
+    k = fs.argmin(axis=1)
+    _, f_golden = _golden_min(values, grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)])
+    return np.minimum(f_golden, fs.min(axis=1))
 
 
 def _minimize_over_support(obj: _SupportObjective, support: tuple) -> float:
@@ -1001,7 +987,7 @@ def min_over_small_supports(rate: float, p: Channel):
     if singles:
         vals += obj.values_and_rhos(np.eye(nx)[[sup[0] for sup in singles]])[0].tolist()
     if pairs:
-        vals += _minimize_over_pairs(obj, pairs, _PAIR_GRID).tolist()
+        vals += _minimize_over_pairs(obj, pairs).tolist()
     vals += [_minimize_over_support(obj, sup) for sup in supports[len(vals):]]
     best_val = math.inf
     best_support = None

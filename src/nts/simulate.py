@@ -158,9 +158,11 @@ def build_codebook(
 
 
 def _transmit(x: np.ndarray, p: Channel, rng: np.random.Generator) -> np.ndarray:
+    """Channel outputs for the inputs ``x`` (any shape), one uniform per
+    symbol drawn in C order, by inverse CDF."""
     cdf = np.cumsum(p.matrix, axis=1)
-    u = rng.random(x.size)
-    return (u[:, None] > cdf[x]).sum(axis=1).astype(np.int64)
+    u = rng.random(x.shape)
+    return (u[..., None] > cdf[x]).sum(axis=-1).astype(np.int64)
 
 
 def _codeword_counts(books: np.ndarray, y: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -518,9 +520,7 @@ def fixed_q_event_counts(
 
     books = _draw_iid(q.probs, trials * m * n, rng).reshape(trials, m, n)
     sent = books[:, 0, :]  # message index is immaterial by symmetry
-    u = rng.random((trials, n))
-    cdf = np.cumsum(p.matrix, axis=1)
-    y = (u[:, :, None] > cdf[sent]).sum(axis=2)
+    y = _transmit(sent, p, rng)
 
     mets = decode_metric(_codeword_counts(books, y, nx, ny), n, q)  # (trials, m)
 

@@ -177,6 +177,12 @@ class TestScalarParams:
     def test_bad_rho(self, tmp_path, capsys, value):
         assert rejects_param(tmp_path, capsys, "iterate-slope", "rho", value)
 
+    def test_negative_rate_grid_start(self, tmp_path, capsys):
+        # A negative rate is refused as params.rate; so is a grid starting below 0.
+        cfg = write_config(tmp_path / "c.json", rate_grid={"start": -0.1, "stop": 0.2, "step": 0.1})
+        assert run_command(["curves", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+        assert "params.rate_grid.start" in capsys.readouterr().err
+
     def test_boundary_values_accepted(self, tmp_path):
         path = write_config(tmp_path / "c.json", n=1, blocks=1, seed=0, rate=0, delta=0.0, rho=-2.5)
         _, _, params = parse_config(path)
@@ -453,6 +459,17 @@ class TestOtherCommands:
         assert run_command(["iterate-rate", "--config", cfg, "--out-dir", str(out)]) == 0
         rhs = json.loads((out / "iterate_rate_summary.json").read_text())["check_lower_than"]["rhs"]
         assert rhs is not None and math.isfinite(rhs)
+
+    def test_iterate_rate_refused_before_any_output(self, tmp_path, capsys):
+        # min_over_small_supports tries every support of the input alphabet:
+        # seven inputs exceed its cap, and the run is refused before the
+        # iteration writes its trace.
+        rows = [[0.8 if y == x % 3 else 0.1 for y in range(3)] for x in range(7)]
+        cfg = write_config(tmp_path / "c.json", channel={"rows": rows}, q0=[1 / 7] * 7, rate=2.0)
+        out = tmp_path / "out"
+        assert run_command(["iterate-rate", "--config", cfg, "--out-dir", str(out)]) == 4
+        assert "SUPPORT_INPUT_CAP" in capsys.readouterr().err
+        assert not (out / "iterate_rate.csv").exists()
 
     def test_iterate_slope_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

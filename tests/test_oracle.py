@@ -628,9 +628,10 @@ class TestMinOverSmallSupports:
             min_over_small_supports(0.1, p)
 
 
-def _reference_pair_minimum(obj: _SupportObjective, pair: tuple, resolution: int = 24) -> float:
-    """The former per-pair search: a start grid, then a 44-step scalar golden
-    section on the bracket around its argmin."""
+def _reference_pair_minimum(obj: _SupportObjective, pair: tuple) -> float:
+    """The per-pair search, one point per call: a 24-point start grid, then a
+    44-step scalar golden section on the bracket around its argmin, keeping
+    the lower of the two minima."""
     nx = obj.matrix.shape[0]
 
     def rows(ts):
@@ -638,17 +639,14 @@ def _reference_pair_minimum(obj: _SupportObjective, pair: tuple, resolution: int
         q[:, pair[0]], q[:, pair[1]] = ts, 1.0 - np.asarray(ts)
         return q
 
-    ts = np.linspace(0.0, 1.0, max(resolution, 5))
+    ts = np.linspace(0.0, 1.0, 24)
     vals = obj.values_and_rhos(rows(ts))[0].tolist()
     i = int(np.argmin(vals))
 
     def scalar(t):
         return float(obj.values_and_rhos(rows([t]))[0][0])
 
-    def batched(points):
-        return np.array([scalar(t) for t in points])
-
-    _, ft = _golden_min(batched, ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
+    _, ft = _scalar_golden_min(scalar, float(ts[max(i - 1, 0)]), float(ts[min(i + 1, ts.size - 1)]))
     return min(ft, min(vals))
 
 
@@ -685,11 +683,9 @@ class TestPairZoom:
         pairs = [sup for sup in supports if len(sup) == 2]
         ref = {sup: _reference_pair_minimum(obj, sup) for sup in pairs}
         if pairs:
-            got = _minimize_over_pairs(obj, pairs, 24)
+            got = _minimize_over_pairs(obj, pairs)
             for pair, val in zip(pairs, got.tolist()):
-                # E0 near capacity is a log of sums near 1, with an absolute
-                # roundoff of ~1e-16: the 1e-15 covers values down to ~1e-7.
-                assert val == pytest.approx(ref[pair], rel=1e-10, abs=1e-15)
+                assert val == ref[pair]
                 for t in np.linspace(0.0, 1.0, 201):
                     probs = np.zeros(nx)
                     probs[pair[0]], probs[pair[1]] = t, 1.0 - t
@@ -716,19 +712,16 @@ class TestPairZoom:
         tied = [sup for sup in supports if ref[sup] <= ref_val + 2e-10 * abs(ref_val) + 2e-15]
         assert support == ref_support if len(tied) == 1 else support in tied
 
-    def test_brackets_as_narrow_as_the_golden_section(self, monkeypatch):
-        # Every round but the start grid evaluates 16 points per live pair;
-        # a bracket of width w shrinks to 2w/17 per round and stops at
-        # w0 * _GOLDEN**44, which takes 10 rounds from an interior start.
+    def test_one_grid_call_then_the_golden_section_of_every_pair(self, monkeypatch):
+        # The start grid of every pair in one call, then one golden section
+        # per pair in lockstep: 2 points per pair, then 15 in each of 11 calls.
         p = Channel(np.array([[0.85, 0.1, 0.05], [0.05, 0.9, 0.05], [0.1, 0.1, 0.8]]))
         obj = _SupportObjective(1.0, p)
         batches = []
         values_and_rhos = obj.values_and_rhos
         monkeypatch.setattr(obj, "values_and_rhos", lambda q: batches.append(len(q)) or values_and_rhos(q))
-        _minimize_over_pairs(obj, [(0, 1), (0, 2), (1, 2)], 24)
-        assert batches[0] == 3 * 24
-        assert set(batches[1:]) <= {16, 32, 48}
-        assert len(batches) - 1 == math.ceil(math.log(_GOLDEN**44) / math.log(2 / 17))
+        _minimize_over_pairs(obj, [(0, 1), (0, 2), (1, 2)])
+        assert batches == [3 * 24, 3 * 2] + [3 * 15] * 11
 
 
 def _reference_support_minimum(obj: _SupportObjective, support: tuple) -> float:
@@ -801,7 +794,7 @@ class TestSupportDescent:
         supports = [sup for size in range(1, nx + 1) for sup in itertools.combinations(range(nx), size)]
         pairs = [sup for sup in supports if len(sup) == 2]
         vals = {(x,): float(v) for x, v in enumerate(obj.values_and_rhos(np.eye(nx))[0])}
-        vals.update(zip(pairs, _minimize_over_pairs(obj, pairs, 24).tolist()))
+        vals.update(zip(pairs, _minimize_over_pairs(obj, pairs).tolist()))
         larger = [sup for sup in supports if len(sup) > 2]
         vals.update((sup, _minimize_over_support(obj, sup)) for sup in larger)
         for sup in larger:
@@ -824,7 +817,7 @@ class TestSupportDescent:
         obj = _SupportObjective(0.7104648427880704, Channel(rows / rows.sum(axis=1, keepdims=True)))
         val = _minimize_over_support(obj, (0, 1, 3))
         assert val <= _reference_support_minimum(obj, (0, 1, 3)) * (1 + 1e-14)
-        assert val < _minimize_over_pairs(obj, [(0, 3)], 24)[0] - 5e-4
+        assert val < _minimize_over_pairs(obj, [(0, 3)])[0] - 5e-4
 
 
 class TestProjectSimplex:
@@ -943,17 +936,19 @@ def rows_to_project(draw):
 
 class TestBatchedLineSearch:
     @settings(max_examples=300, deadline=None)
-    @given(line_function())
-    def test_golden_section_is_the_scalar_search(self, case):
-        f, lo, hi = case
+    @given(st.lists(line_function(), min_size=1, max_size=4))
+    def test_golden_section_is_the_scalar_search(self, cases):
         calls = []
 
         def batched(points):
-            calls.append(points.size)
-            return np.array([f(t) for t in points.tolist()])
+            calls.append(points.shape)
+            return np.array([[f(t) for t in row] for (f, _, _), row in zip(cases, points.tolist())])
 
-        assert _golden_min(batched, lo, hi) == _scalar_golden_min(f, lo, hi)
-        assert calls == [2] + [15] * 11
+        lo, hi = np.array([case[1] for case in cases]), np.array([case[2] for case in cases])
+        points, values = _golden_min(batched, lo, hi)
+        for (f, a, b), t, ft in zip(cases, points.tolist(), values.tolist()):
+            assert (t, ft) == _scalar_golden_min(f, a, b)
+        assert calls == [(len(cases), 2)] + [(len(cases), 15)] * 11
 
     @settings(max_examples=40, deadline=None)
     @given(objective_case())
