@@ -8,10 +8,11 @@ alternating-maximization capacity solver used for support conditions.
 
 The slope D(T_rho o V_rho || T_rho x Q) equals dE0/drho and is non-increasing
 in rho, so the maximizing rho for a given rate is located by bisection on the
-slope.  E0(., Q) does not depend on the rate, so a whole rate grid is solved
-at once: one raw-array kernel (``_tilted``) evaluates E0 and the slope for a
-batch of rho values (and optionally of Q rows), and the bisections of all
-rates run in lockstep.  The scalar exponents are the one-rate case.
+slope.  A whole batch of (rate, Q) pairs is solved at once: one raw-array
+kernel (``_tilted``) evaluates E0 and the slope for a batch of rho values and
+Q rows, and the bisections of all pairs run in lockstep.  A rate grid at one
+Q and many Qs at one rate are two shapes of that batch; the scalar exponents
+are the one-pair case.
 """
 
 from __future__ import annotations
@@ -250,14 +251,16 @@ def minus_one_family(q: Distribution, p: Channel) -> MinusOneFamily:
 
 
 def _bisect_slopes(rates: np.ndarray, slope_at, lo: float, hi: float) -> np.ndarray:
-    """rho in [lo, hi] with slope(rho) ~= rate, for every rate at once.
+    """rho in [lo, hi] with slope_b(rho) ~= rates[b], for every element b at once.
 
-    Each element follows the midpoint sequence of a scalar bisection on its
-    own rate (slope is non-increasing in rho) and stops on its own.  Each
-    round makes one batched slope call.  Many live rates take one bisection
-    step per round, in lockstep.  Few live rates look ``depth`` levels ahead:
-    the call covers every midpoint of the next ``depth`` levels of their
-    bisection trees, so a lone rate needs about ten calls instead of 47.
+    ``slope_at(mids, elems)`` returns the slope of element ``elems[k]`` at
+    ``mids[k]``.  Each element follows the midpoint sequence of a scalar
+    bisection on its own rate (slope is non-increasing in rho) and stops on
+    its own.  Each round makes one batched slope call.  Many live elements
+    take one bisection step per round, in lockstep.  Few live elements look
+    ``depth`` levels ahead: the call covers every midpoint of the next
+    ``depth`` levels of their bisection trees, so a lone element needs about
+    ten calls instead of 47.
     """
     lo = np.full(rates.shape, lo)
     hi = np.full(rates.shape, hi)
@@ -269,7 +272,7 @@ def _bisect_slopes(rates: np.ndarray, slope_at, lo: float, hi: float) -> np.ndar
         if depth == 1:
             a, b = lo[live], hi[live]
             mid = 0.5 * (a + b)
-            above = slope_at(mid) > rates[live]
+            above = slope_at(mid, live) > rates[live]
             a, b = np.where(above, mid, a), np.where(above, b, mid)
             lo[live], hi[live] = a, b
             live = live[~(b - a < 1e-14)]
@@ -287,7 +290,7 @@ def _bisect_slopes(rates: np.ndarray, slope_at, lo: float, hi: float) -> np.ndar
                 mids.append(mid)
                 tree += [(mid, b), (a, mid)]
             trees.append(tree)
-        above = (slope_at(np.array(mids)) > np.repeat(rates[live], inner)).tolist()
+        above = (slope_at(np.array(mids), np.repeat(live, inner)) > np.repeat(rates[live], inner)).tolist()
         still = []
         for k, (e, tree) in enumerate(zip(live.tolist(), trees)):
             i = 0
@@ -318,51 +321,74 @@ def _clip_at_zero(x: np.ndarray) -> np.ndarray:
     return np.where(0.0 > x, 0.0, x)
 
 
-def _sweep(rates, q: Distribution, p: Channel, edge_rho: float) -> ExponentSweep:
-    """Shared body of the two sweeps: max over rho between 0 and ``edge_rho``
-    (1 for the error exponent, just above -1 for the correct-decoding one) of
-    E0(rho, Q) - rho R.  Rates on the far side of the slope at ``edge_rho``
-    take the boundary value at rho* = +-1; the rest are bisected."""
+def _sweep(rates, q, p: Channel, edge_rho: float) -> ExponentSweep:
+    """Shared body of the two sweeps: for each element b, the max over rho
+    between 0 and ``edge_rho`` (1 for the error exponent, just above -1 for
+    the correct-decoding one) of E0(rho, Q_b) - rho R_b.
+
+    ``q`` is one Distribution for every rate, or an array of Q rows; a single
+    rate or a single row is broadcast against the other.  Elements on the far
+    side of the slope at ``edge_rho`` take the boundary value at rho* = +-1;
+    the rest are bisected, each on its own (rate, Q row) pair, so an
+    element's result does not depend on the rest of the batch."""
     rates = np.asarray(rates, dtype=float).reshape(-1)
     if np.any(rates < 0):
         raise ValueError("rate must be non-negative")
+    rows = np.atleast_2d(q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float))
+    (size,) = np.broadcast_shapes(rates.shape, rows.shape[:1])
+    if size == 0:
+        return ExponentSweep(value=np.zeros(0), rho_star=np.zeros(0), boundary=())
+    if rates.size < size:  # one rate for every Q row
+        rates = np.full(size, rates[0])
     upper = edge_rho > 0
-    logq, logp, probs = _kernel_inputs(q, p)
-    e0s, slopes, _, _ = _tilted(np.array([0.0, edge_rho]), logq, logp, probs)
+    logq, logp = guarded_log(rows, -np.inf), guarded_log(p.matrix, -np.inf)
+    # E0 and the slope at rho = 0 and at the edge, once per Q row; arrays of
+    # one entry per row broadcast against the elements.
+    k = rows.shape[0]
+    e0s, slopes, _, _ = _tilted(
+        np.repeat([0.0, edge_rho], k), np.concatenate([logq, logq]), logp, np.concatenate([rows, rows])
+    )
     if upper:
-        zero = rates >= slopes[0]
-        edge = ~zero & (slopes[1] >= rates)
-        rho_edge, e0_edge = 1.0, e0s[1]
+        zero = rates >= slopes[:k]
+        edge = ~zero & (slopes[k:] >= rates)
+        rho_edge, e0_edge = 1.0, e0s[k:]
     else:
-        zero = rates <= slopes[0]
-        edge = ~zero & (slopes[1] < rates)
-        rho_edge, e0_edge = -1.0, e0(-1.0, q, p)
-    interior = ~(zero | edge)
+        zero = rates <= slopes[:k]
+        edge = ~zero & (slopes[k:] < rates)
+        rho_edge, e0_edge = -1.0, _e0_minus_one(rows, p.matrix)
+    interior = np.flatnonzero(~(zero | edge))
 
-    value = np.zeros(rates.size)
-    rho = np.zeros(rates.size)
-    value[edge] = _clip_at_zero(e0_edge - rho_edge * rates[edge])
-    rho[edge] = rho_edge
-    if interior.any():
+    value = np.where(edge, _clip_at_zero(e0_edge - rho_edge * rates), 0.0)
+    rho = np.where(edge, rho_edge, 0.0)
+    if interior.size:
         r = rates[interior]
         lo, hi = (0.0, edge_rho) if upper else (edge_rho, 0.0)
-        rho_in = _bisect_slopes(r, lambda mid: _tilted(mid, logq, logp, probs)[1], lo, hi)
-        log_z = _log_partition(rho_in, logq, logp)[-1]
+        if k == 1:  # one Q for every rate: the kernel broadcasts its row
+            logq_in, rows_in = logq[0], rows[0]
+            slope_at = lambda mid, at: _tilted(mid, logq_in, logp, rows_in)[1]
+        else:
+            logq_in, rows_in = logq[interior], rows[interior]
+            slope_at = lambda mid, at: _tilted(mid, logq_in[at], logp, rows_in[at])[1]
+        rho_in = _bisect_slopes(r, slope_at, lo, hi)
+        log_z = _log_partition(rho_in, logq_in, logp)[-1]
         value[interior] = _clip_at_zero(-log_z - rho_in * r)
         rho[interior] = rho_in
-    flags = np.full(rates.size, Boundary.INTERIOR, dtype=object)
+    flags = np.full(size, Boundary.INTERIOR, dtype=object)
     flags[zero] = Boundary.RHO_ZERO
     flags[edge] = Boundary.RHO_ONE if upper else Boundary.RHO_MINUS_ONE
     return ExponentSweep(value=value, rho_star=rho, boundary=tuple(flags))
 
 
-def error_exponent_sweep(rates, q: Distribution, p: Channel) -> ExponentSweep:
-    """``error_exponent`` at every rate of an array, in one batched bisection."""
+def error_exponent_sweep(rates, q, p: Channel) -> ExponentSweep:
+    """``error_exponent`` at every element of a batch, in one batched
+    bisection: at every rate of an array, at every row of an array of Q rows
+    (a Distribution's ``probs`` each), or at (rate, row) pairs."""
     return _sweep(rates, q, p, 1.0)
 
 
-def correct_exponent_ml_sweep(rates, q: Distribution, p: Channel) -> ExponentSweep:
-    """``correct_exponent_ml`` at every rate of an array, in one batched bisection."""
+def correct_exponent_ml_sweep(rates, q, p: Channel) -> ExponentSweep:
+    """``correct_exponent_ml`` at every element of a batch, in one batched
+    bisection; ``rates`` and ``q`` are as in ``error_exponent_sweep``."""
     return _sweep(rates, q, p, -1.0 + _RHO_EDGE)
 
 
@@ -401,9 +427,10 @@ def correct_exponent_strict(rate: float, q: Distribution, p: Channel):
     fam = minus_one_family(q, p)
     if rate > fam.r_plus:
         return StrictDomainReport(rate=rate, r_plus=fam.r_plus)
-    res = correct_exponent_ml(rate, q, p)
-    if res.boundary_flag is not Boundary.RHO_MINUS_ONE:
-        return res
+    sweep = correct_exponent_ml_sweep([rate], q, p)
+    value, rho, flag = float(sweep.value[0]), float(sweep.rho_star[0]), sweep.boundary[0]
+    if flag is not Boundary.RHO_MINUS_ONE:
+        return ExponentResult(value, rho, tilted_joint(rho, q, p).joint, flag)
 
     t = fam.t_minus1.probs
     tq = np.outer(t, q.probs)
@@ -427,7 +454,7 @@ def correct_exponent_strict(rate: float, q: Distribution, p: Channel):
         lam = 0.5 * (lo + hi)
     v = (1 - lam) * fam.v_minus + lam * fam.v_plus
     minimizer = JointDistribution.from_t_v(t, v)
-    return ExponentResult(res.value, -1.0, minimizer, Boundary.RHO_MINUS_ONE)
+    return ExponentResult(value, -1.0, minimizer, Boundary.RHO_MINUS_ONE)
 
 
 def tilted_objective(joint: JointDistribution, q: Distribution, p: Channel, rho: float) -> float:

@@ -32,10 +32,13 @@ from .itcore import (
     guarded_log,
 )
 from .exponents import (
+    Boundary,
     StrictDomainReport,
     correct_exponent_ml,
+    correct_exponent_ml_sweep,
     correct_exponent_strict,
-    error_exponent,
+    error_exponent_sweep,
+    tilted_joint,
 )
 from .oracle import CompetitorClassTable, check_class_count, competitor_class_table, decode_metric, loglik_metric
 
@@ -393,12 +396,9 @@ def nts_run(config: SimConfig) -> SimResult:
     m = codebook_size(config.n, config.rate)
     _check_caps(config, m)
     trace = []
-    update_stats = []
-    desync = []
+    updates = []
     errors = 0
-    feedbacks = 0
     table_cache: dict = {}
-    stat_cache: dict = {}
     cache_q = q
 
     for block in range(config.blocks):
@@ -410,12 +410,7 @@ def nts_run(config: SimConfig) -> SimResult:
         if not outcome.correct:
             errors += 1
         if outcome.feedback == 1:
-            feedbacks += 1
-            update_stats.append(
-                _update_stat(block, outcome, winner_counts, q, p, config, stat_cache)
-            )
-            if not outcome.correct:
-                desync.append(block)
+            updates.append((block, not outcome.correct, winner_counts, q, p))
             q = Distribution(winner_counts.sum(axis=0) / config.n)
             outcome = dataclasses.replace(outcome, q_next=q)
         trace.append(outcome)
@@ -423,50 +418,60 @@ def nts_run(config: SimConfig) -> SimResult:
     blocks = max(config.blocks, 1)
     summary = RunSummary(
         blocks=config.blocks,
-        feedback_rate=feedbacks / blocks,
+        feedback_rate=len(updates) / blocks,
         error_rate=errors / blocks,
-        updates=len(update_stats),
-        desync_blocks=tuple(desync),
-        update_stats=tuple(update_stats),
+        updates=len(updates),
+        desync_blocks=tuple(block for block, desync, *_ in updates if desync),
+        update_stats=_update_stats(updates, config),
         q_final=q,
     )
     return SimResult(trace=tuple(trace), summary=summary)
 
 
-def _update_stat(
-    block: int,
-    outcome: BlockOutcome,
-    winner_counts: np.ndarray,
-    q: Distribution,
-    p: Channel,
-    config: SimConfig,
-    cache: dict,
-) -> UpdateStat:
-    # Updated distributions are type marginals (multiples of 1/n), so the
-    # per-Q analytics repeat; key the cache on the exact probabilities.
-    key = (q.probs.tobytes(), id(p))
-    hit = cache.get(key)
-    if hit is None:
-        rate_plus = config.rate + config.delta
-        ee = error_exponent(config.rate, q, p).value
-        strict = correct_exponent_strict(rate_plus, q, p)
-        if isinstance(strict, StrictDomainReport):
-            res = correct_exponent_ml(rate_plus, q, p)
-        else:
-            res = strict
-        hit = (ee, res.value, res.minimizer.mass)
-        cache[key] = hit
-    ee, ec_value, minimizer_mass = hit
-    observed = winner_counts / config.n
-    l1 = float(np.abs(observed - minimizer_mass).sum())
-    return UpdateStat(
-        block=block,
-        desync=not outcome.correct,
-        l1_to_minimizer=l1,
-        guard_holds=ee > ec_value,
-        error_exp_at_rate=ee,
-        correct_exp_at_rate_plus_delta=ec_value,
-    )
+def _update_stats(updates: list, config: SimConfig) -> tuple:
+    """The ``UpdateStat`` of each update (block, desync, winner counts, Q,
+    channel): E_r(R, Q), E_c(R + delta, Q) and the L1 distance from the
+    winner's joint type to the minimizer of that correct-decoding exponent.
+
+    These diagnostics never feed back into Q, so they are solved after the
+    last block.  Updated distributions are type marginals (multiples of 1/n)
+    and repeat, so each distinct Q of a channel is solved once, all of them in
+    one batched sweep per exponent.  The minimizer is the tilted joint at
+    rho*, or at rho* = -1 the strict exponent's family member (the ML one
+    beyond r_plus, where the strict formula does not apply)."""
+    rate_plus = config.rate + config.delta
+    channels: dict = {}
+    for *_, q, p in updates:
+        channels.setdefault(id(p), (p, {}))[1].setdefault(q.probs.tobytes(), q)
+    solved = {}
+    for key, (p, distinct) in channels.items():
+        qs = list(distinct.values())
+        rows = np.array([q.probs for q in qs])
+        errors = error_exponent_sweep(config.rate, rows, p).value
+        corrects = correct_exponent_ml_sweep(rate_plus, rows, p)
+        for q, ee, ec, rho, flag in zip(qs, errors, corrects.value, corrects.rho_star, corrects.boundary):
+            if flag is Boundary.RHO_MINUS_ONE:
+                res = correct_exponent_strict(rate_plus, q, p)
+                if isinstance(res, StrictDomainReport):
+                    res = correct_exponent_ml(rate_plus, q, p)
+                mass = res.minimizer.mass
+            else:
+                mass = tilted_joint(float(rho), q, p).joint.mass
+            solved[key, q.probs.tobytes()] = float(ee), float(ec), mass
+    stats = []
+    for block, desync, winner_counts, q, p in updates:
+        ee, ec, mass = solved[id(p), q.probs.tobytes()]
+        stats.append(
+            UpdateStat(
+                block=block,
+                desync=desync,
+                l1_to_minimizer=float(np.abs(winner_counts / config.n - mass).sum()),
+                guard_holds=ee > ec,
+                error_exp_at_rate=ee,
+                correct_exp_at_rate_plus_delta=ec,
+            )
+        )
+    return tuple(stats)
 
 
 def fixed_q_outcomes(

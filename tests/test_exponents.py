@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from nts.itcore import Channel, Distribution, JointDistribution, kl_masses, mutual_information
 from nts.exponents import (
+    _RHO_EDGE,
     Boundary,
     StrictDomainReport,
     _kernel_inputs,
     _tilted,
     capacity,
     correct_exponent_ml,
+    correct_exponent_ml_sweep,
     correct_exponent_strict,
     e0,
     error_exponent,
+    error_exponent_sweep,
     minus_one_family,
     tilted_joint,
 )
@@ -336,3 +339,78 @@ class TestExponentProperties:
         corrects = [correct_exponent_ml(rate, q, p).value for rate in rates]
         assert all(b <= a for a, b in zip(errors, errors[1:]))
         assert all(b >= a for a, b in zip(corrects, corrects[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep: one (rate, Q row) pair per element
+# ---------------------------------------------------------------------------
+
+# Where a rate sits against the slopes s(0) and s(edge) of its Q row: beyond
+# s(0) (rho* = 0), beyond s(edge) (rho* at the edge), between them
+# (bisected), or exactly on one of the two.
+REGIMES = ("zero", "edge", "interior", "at_zero", "at_edge")
+
+
+def _regime_rate(regime: str, u: float, s_zero: float, s_edge: float) -> float:
+    at = {"zero": s_zero + (s_zero - s_edge) * u, "edge": s_edge - (s_zero - s_edge) * u,
+          "interior": s_edge + (s_zero - s_edge) * u, "at_zero": s_zero, "at_edge": s_edge}
+    return max(at[regime], 0.0)
+
+
+@st.composite
+def rows_with_rates(draw):
+    """A 2-4 input channel with zero entries, Q rows of mixed supports, and
+    for each row a draw (regime, u) of where its rate sits."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows = np.array([draw(_weights(ny)) for _ in range(nx)], dtype=float)
+    qs = []
+    for _ in range(draw(st.integers(2, 8))):
+        support = draw(st.lists(st.booleans(), min_size=nx, max_size=nx).filter(any))
+        weights = np.array(draw(st.lists(st.integers(1, 20), min_size=nx, max_size=nx)), dtype=float) * support
+        qs.append(Distribution(weights / weights.sum()))
+    draws = [(draw(st.sampled_from(REGIMES)), draw(st.floats(0.0, 1.0))) for _ in qs]
+    return qs, Channel(rows / rows.sum(axis=1, keepdims=True)), draws
+
+
+class TestBatchedSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(rows_with_rates())
+    def test_each_element_equals_its_single_q_sweep(self, case):
+        qs, p, draws = case
+        rows = np.array([q.probs for q in qs])
+        for sweep, edge_rho in ((error_exponent_sweep, 1.0), (correct_exponent_ml_sweep, -1.0 + _RHO_EDGE)):
+            rates = []
+            for q, (regime, u) in zip(qs, draws):
+                _, slopes, _, _ = _tilted(np.array([0.0, edge_rho]), *_kernel_inputs(q, p))
+                rates.append(_regime_rate(regime, u, *slopes.tolist()))
+            batch = sweep(rates, rows, p)
+            for b, (q, rate) in enumerate(zip(qs, rates)):
+                single = sweep([rate], q, p)
+                assert batch.value[b] == single.value[0]
+                assert batch.rho_star[b] == single.rho_star[0]
+                assert batch.boundary[b] is single.boundary[0]
+
+    def test_regimes_are_all_drawn(self):
+        # Both edges and rho* = 0 and interior rates, on one batch of rows of
+        # different supports, as the property test draws them.
+        qs = [Distribution(np.array(w, dtype=float) / sum(w)) for w in ([1, 1, 1], [3, 0, 1], [0, 2, 5])]
+        p = Channel(np.array([[0.7, 0.3, 0.0], [0.1, 0.6, 0.3], [0.0, 0.2, 0.8]]))
+        rows = np.array([q.probs for q in qs])
+        for sweep, edge_rho, edge_flag in (
+            (error_exponent_sweep, 1.0, Boundary.RHO_ONE),
+            (correct_exponent_ml_sweep, -1.0 + _RHO_EDGE, Boundary.RHO_MINUS_ONE),
+        ):
+            flags = set()
+            for regime in REGIMES:
+                rates = [
+                    _regime_rate(regime, 0.5, *_tilted(np.array([0.0, edge_rho]), *_kernel_inputs(q, p))[1].tolist())
+                    for q in qs
+                ]
+                flags |= set(sweep(rates, rows, p).boundary)
+            assert flags == {Boundary.INTERIOR, Boundary.RHO_ZERO, edge_flag}
+
+    def test_empty_batch(self):
+        for sweep in (error_exponent_sweep, correct_exponent_ml_sweep):
+            for rates, q in (([], UNIF), (0.2, np.zeros((0, 2)))):
+                out = sweep(rates, q, BSC)
+                assert (out.value.shape, out.rho_star.shape, out.boundary) == ((0,), (0,), ())

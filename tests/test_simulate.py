@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compositions_reference import compositions_iter
+from update_stats_reference import record_updates, reference_update_stats
 from nts.itcore import Channel, Distribution, ResourceLimitError
 from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n
 from nts.simulate import (
@@ -382,6 +383,86 @@ class TestNtsRun:
         b = nts_run(self._config(blocks=25))
         assert [o.feedback for o in a.trace] == [o.feedback for o in b.trace]
         assert np.allclose(a.summary.q_final.probs, b.summary.q_final.probs)
+
+
+# Literal-path instances of the benchmark's seed-1 ``nts_adapt`` workload:
+# the ternary anchor, whose Q collapses to two letters (rho* = -1 within
+# r_plus), and a 3x3 and a 3x2 channel whose Q reaches rho* = -1 beyond r_plus.
+TERNARY = ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], [1 / 3, 1 / 3, 1 / 3], 15, 0.5991464547107982,
+           0.06252035976861893, 1592511952)
+RAND_3X3 = (
+    [[0.8067110453198669, 0.04543034115010198, 0.14785861353003105],
+     [0.09681061710139759, 0.8269527108802922, 0.0762366720183102],
+     [0.0578888084490187, 0.09942087100122399, 0.8426903205497573]],
+    [0.4508594729764526, 0.20226251683818086, 0.3468780101853665], 14, 0.6468706922963517, 0.06948996687089393,
+    2105350519,
+)
+RAND_3X2 = (
+    [[0.8463398354804845, 0.15366016451951547], [0.4714891459166698, 0.5285108540833301],
+     [0.04681930585210127, 0.9531806941478986]],
+    [0.36465235401244683, 0.23601635138671148, 0.3993312946008418], 12, 0.7675283643313486, 0.06406315163139581,
+    1215963124,
+)
+
+
+class TestUpdateStats:
+    """``nts_run`` solves its update statistics after the last block, each
+    distinct (Q, channel) once; they equal the per-Q solves exactly."""
+
+    def _check(self, monkeypatch, config):
+        result, updates = record_updates(monkeypatch, config)
+        expected, regimes = reference_update_stats(updates, config)
+        assert result.summary.update_stats == expected
+        assert result.summary.updates == len(expected)
+        return result, regimes, updates
+
+    @staticmethod
+    def _literal(case, blocks=50):
+        rows, q0, n, rate, delta, seed = case
+        return SimConfig(
+            n=n, rate=rate, delta=delta, blocks=blocks, q0=Distribution(np.array(q0)),
+            channel_schedule=((0, Channel(np.array(rows))),), seed=seed,
+        )
+
+    def test_readme_run_interior_and_rho_zero(self, monkeypatch):
+        config = SimConfig(
+            n=200, rate=0.25, delta=0.05, blocks=200, q0=Distribution(np.array([0.9, 0.1])),
+            channel_schedule=((0, Channel.bsc(0.05)),), seed=1,
+        )
+        _, regimes, _ = self._check(monkeypatch, config)
+        assert {"interior", "rho_zero"} <= regimes
+
+    def test_strict_minimizer_by_bisection(self, monkeypatch):
+        _, regimes, updates = self._check(monkeypatch, self._literal(TERNARY))
+        assert "minus_one_bisected" in regimes
+        assert any(np.count_nonzero(q.probs) == 2 for *_, q, _ in updates)
+
+    @pytest.mark.parametrize("case", [RAND_3X3, RAND_3X2], ids=["3x3", "3x2"])
+    def test_ml_fallback_beyond_r_plus(self, monkeypatch, case):
+        _, regimes, _ = self._check(monkeypatch, self._literal(case))
+        assert "rho_minus_one_beyond_r_plus" in regimes
+
+    def test_same_q_under_two_channels(self, monkeypatch):
+        a, b = Channel.bsc(0.1), Channel.bsc(0.2)
+        config = SimConfig(
+            n=8, rate=0.2, delta=0.05, blocks=60, q0=Distribution(np.array([0.7, 0.3])),
+            channel_schedule=tuple((k, (a, b)[(k // 5) % 2]) for k in range(0, 60, 5)), seed=0,
+        )
+        *_, updates = self._check(monkeypatch, config)
+        channels = {}
+        for *_, q, p in updates:
+            channels.setdefault(q.probs.tobytes(), set()).add(id(p))
+        assert any(len(ids) == 2 for ids in channels.values())
+
+    @pytest.mark.parametrize("blocks, delta", [(0, 0.05), (40, 50.0)])
+    def test_no_update_gives_an_empty_tuple(self, monkeypatch, blocks, delta):
+        config = SimConfig(
+            n=8, rate=0.2, delta=delta, blocks=blocks, q0=Distribution(np.array([0.7, 0.3])),
+            channel_schedule=((0, BSC),), seed=11,
+        )
+        result, _, _ = self._check(monkeypatch, config)
+        assert result.summary.update_stats == ()
+        assert result.summary.updates == 0
 
 
 class TestFixedQOutcomes:

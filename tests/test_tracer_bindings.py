@@ -24,3 +24,10 @@ def test_every_traced_binding_resolves():
     ]
     assert missing == []
     assert isinstance(importlib.import_module("nts.itcore").TypeWithDenominator, type)
+
+
+def test_simulate_binds_correct_exponent_ml():
+    # The benchmark's tracer test checks that installing the tracer rebinds
+    # ``nts.simulate.correct_exponent_ml`` and uninstalling restores it.
+    simulate = importlib.import_module("nts.simulate")
+    assert simulate.correct_exponent_ml is importlib.import_module("nts.exponents").correct_exponent_ml
