@@ -19,10 +19,8 @@ import numpy as np
 from . import __version__
 from .itcore import Channel, Distribution, ResourceLimitError, kl_masses
 from .exponents import (
-    StrictDomainReport,
     correct_exponent_ml,
     correct_exponent_ml_sweep,
-    correct_exponent_strict,
     error_exponent,
     error_exponent_sweep,
     minus_one_family,
@@ -298,11 +296,11 @@ def _cmd_iterate_slope(channel: Channel, q0: Distribution, params: dict, out_dir
 
 def _cmd_oracle(channel: Channel, q0: Distribution, params: dict, out_dir: str) -> list:
     rate = float(_need(params, "rate", "oracle"))
-    strict = correct_exponent_strict(rate, q0, channel)
+    ml = correct_exponent_ml(rate, q0, channel).value
     explicit = {
         ImplicitKind.ERROR_IID: error_exponent(rate, q0, channel).value,
-        ImplicitKind.CORRECT_ML: correct_exponent_ml(rate, q0, channel).value,
-        ImplicitKind.CORRECT_STRICT: None if isinstance(strict, StrictDomainReport) else strict.value,
+        ImplicitKind.CORRECT_ML: ml,
+        ImplicitKind.CORRECT_STRICT: None if rate > minus_one_family(q0, channel).r_plus else ml,
     }
     # One grid per minimum serves every kind; the joint one is dropped before
     # the conditional one is built.
@@ -395,7 +393,7 @@ def _cmd_simulate(channel: Channel, q0: Distribution, params: dict, out_dir: str
     rows = [
         (
             b,
-            out.decoded if out.decoded is not None else None,
+            out.decoded,
             out.correct,
             out.feedback,
             out.winner_metric,

@@ -151,6 +151,18 @@ def _log_partition(rho: np.ndarray, logq: np.ndarray, logp: np.ndarray):
     return terms, li, reachable, log_t, log_z
 
 
+def _stationarity(rho: np.ndarray, logq: np.ndarray, logp: np.ndarray):
+    """s_x / Z (B, |X|) and log_z (B,), batched as ``_log_partition``, with the
+    stationarity values s_x = sum_y P(y|x)^gamma inner_y^rho (Q . s = Z); the
+    gradient in Q of E0(rho, Q) is -(1 + rho) s / Z.  Letters off supp(Q) get
+    values too, which may overflow to +inf."""
+    _, li, reachable, _, log_z = _log_partition(rho, logq, logp)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expo = (1.0 / (1.0 + rho))[:, None, None] * logp + (rho[:, None] * li - log_z[:, None])[:, None, :]
+        cells = np.where(reachable[:, None, :], np.exp(expo), 0.0)
+    return cells.sum(axis=2), log_z
+
+
 def _tilted(rho: np.ndarray, logq: np.ndarray, logp: np.ndarray, probs: np.ndarray):
     """E0, slope and the tilted pair (T_rho, V_rho) at each rho[b] > -1.
 
@@ -248,6 +260,30 @@ def minus_one_family(q: Distribution, p: Channel) -> MinusOneFamily:
         v_minus=v_minus,
         v_plus=v_plus,
     )
+
+
+def minus_one_member(fam: MinusOneFamily, q: Distribution, rate: float) -> JointDistribution:
+    """The member T_-1 o v_lam, v_lam = (1 - lam) v_minus + lam v_plus, of the
+    rho = -1 family of ``q`` whose divergence D(T_-1 o v_lam || T_-1 x Q) is
+    ``rate`` <= r_plus; lam = 0 at or below r_minus.  The lam bisection stops
+    on a bracket narrower than 1e-16 or on a midpoint that rounds to an end
+    of the bracket, where lam can no longer move."""
+    t = fam.t_minus1.probs
+    tq = np.outer(t, q.probs)
+
+    def gap(lam: float) -> float:
+        v = (1 - lam) * fam.v_minus + lam * fam.v_plus
+        return kl_masses(t[:, None] * v, tq) - rate
+
+    # At or below r_minus the bracket is empty and lam stays 0.
+    lo, hi = 0.0, (1.0 if gap(0.0) < 0 else 0.0)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-16 or mid == lo or mid == hi:
+            break
+        lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+    lam = 0.5 * (lo + hi)
+    return JointDistribution.from_t_v(t, (1 - lam) * fam.v_minus + lam * fam.v_plus)
 
 
 def _bisect_slopes(rates: np.ndarray, slope_at, lo: float, hi: float) -> np.ndarray:
@@ -420,9 +456,8 @@ def correct_exponent_strict(rate: float, q: Distribution, p: Channel):
     """Strict correct-decoding exponent; equals the ML value for rate <= r_plus.
 
     Returns an ExponentResult whose minimizer, when rho* = -1, is the family
-    member with divergence exactly R (per-output convex interpolation between
-    v_minus and v_plus, located by bisection).  For rate > r_plus returns a
-    StrictDomainReport instead.
+    member with divergence exactly R (``minus_one_member``).  For
+    rate > r_plus returns a StrictDomainReport instead.
     """
     fam = minus_one_family(q, p)
     if rate > fam.r_plus:
@@ -431,30 +466,7 @@ def correct_exponent_strict(rate: float, q: Distribution, p: Channel):
     value, rho, flag = float(sweep.value[0]), float(sweep.rho_star[0]), sweep.boundary[0]
     if flag is not Boundary.RHO_MINUS_ONE:
         return ExponentResult(value, rho, tilted_joint(rho, q, p).joint, flag)
-
-    t = fam.t_minus1.probs
-    tq = np.outer(t, q.probs)
-
-    def gap(lam: float) -> float:
-        v = (1 - lam) * fam.v_minus + lam * fam.v_plus
-        return kl_masses(t[:, None] * v, tq) - rate
-
-    lo, hi = 0.0, 1.0
-    if gap(0.0) >= 0:
-        lam = 0.0
-    else:
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-16:
-                break
-        lam = 0.5 * (lo + hi)
-    v = (1 - lam) * fam.v_minus + lam * fam.v_plus
-    minimizer = JointDistribution.from_t_v(t, v)
-    return ExponentResult(value, -1.0, minimizer, Boundary.RHO_MINUS_ONE)
+    return ExponentResult(value, -1.0, minus_one_member(fam, q, rate), Boundary.RHO_MINUS_ONE)
 
 
 def tilted_objective(joint: JointDistribution, q: Distribution, p: Channel, rho: float) -> float:

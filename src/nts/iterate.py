@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .itcore import Channel, Distribution, JointDistribution, kl_masses
-from .exponents import ExponentResult, _kernel_inputs, _tilted, capacity, correct_exponent_ml, tilted_objective
+from .exponents import (
+    ExponentResult, _kernel_inputs, _stationarity, _tilted, capacity, correct_exponent_ml, tilted_objective
+)
 from .oracle import min_over_small_supports
 
 
@@ -105,6 +107,8 @@ def fixed_rate_run(
     variation of Q fall below tol (or max_iter)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate}")
     records = []
@@ -153,20 +157,14 @@ def _check_finite(name: str, values, step: int) -> None:
             raise ValueError(f"non-finite {name} {value} at step {step}")
 
 
-def _slope_update(q: Distribution, rho: float, p: Channel):
-    """(T, V, q_next) of the fixed-slope two-stage update at Q: the tilted
-    pair at rho and the input marginal of T o V."""
-    _, _, t, v = _tilted(np.array([float(rho)]), *_kernel_inputs(q, p))
-    return t[0], v[0], Distribution(t[0] @ v[0])
-
-
 def fixed_slope_step(q: Distribution, rho: float, p: Channel) -> SlopeStepRecord:
     """One fixed-slope update: (T, V) from the tilted formulas at Q, then
     Q <- input marginal of T o V; records the objective after each stage."""
     if not (-1.0 < rho < 0.0):
         raise ValueError(f"rho must lie strictly inside (-1, 0), got {rho}")
-    t, v, q_next = _slope_update(q, rho, p)
-    joint = JointDistribution.from_t_v(t, v)
+    _, _, t, v = _tilted(np.array([float(rho)]), *_kernel_inputs(q, p))
+    joint = JointDistribution.from_t_v(t[0], v[0])
+    q_next = Distribution(t[0] @ v[0])
     mid = tilted_objective(joint, q, p, rho)
     after = tilted_objective(joint, q_next, p, rho)
     return SlopeStepRecord(q_before=q, q_after=q_next, objective_mid=mid, objective_after=after)
@@ -181,6 +179,8 @@ def fixed_slope_run(
 ) -> SlopeRunResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got {rho}")
     records = []
@@ -206,13 +206,9 @@ def fixed_slope_run(
 
 def stationarity_residual(q: Distribution, rho: float, p: Channel) -> float:
     """Max-min spread over supp(Q) of the per-letter stationarity values
-    sum_y P^gamma(y|x) [sum_a Q(a) P^gamma(y|a)]^rho; zero at a minimizer.
-
-    With the tilted pair at rho these values are e^{-E0} (T o V)(x) / Q(x).
-    """
+    sum_y P^gamma(y|x) [sum_a Q(a) P^gamma(y|a)]^rho; zero at a minimizer."""
     if not (-1.0 < rho < 0.0):
         raise ValueError(f"rho must lie strictly inside (-1, 0), got {rho}")
-    e0s, _, t, v = _tilted(np.array([float(rho)]), *_kernel_inputs(q, p))
-    supp = q.support
-    vals = math.exp(-e0s[0]) * (t[0] @ v[0])[supp] / q.probs[supp]
+    values, log_z = _stationarity(np.array([float(rho)]), *_kernel_inputs(q, p)[:2])
+    vals = math.exp(log_z[0]) * values[0][q.support]
     return float(vals.max() - vals.min())

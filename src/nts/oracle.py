@@ -33,7 +33,7 @@ from .itcore import (
     num_compositions,
     xlogx,
 )
-from .exponents import _RHO_EDGE, _e0_minus_one, _log_partition, capacity
+from .exponents import _RHO_EDGE, _e0_minus_one, _log_partition, _stationarity, capacity
 
 # Coarse-sweep budget: the largest type denominator whose grid fits this cap
 # is used; the descent refinement supplies final precision.
@@ -881,9 +881,7 @@ class _SupportObjective:
 
     def gradients(self, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Gradients in Q of E0(rho[b], .) at the rows ``q[b]`` (B, |X|):
-        -(1 + rho) sum_y exp(gamma log P(y|x) + rho li_y - log_z) over the
-        outputs reachable from supp(Q), with ``li``, ``log_z`` and gamma =
-        1/(1+rho) from the tilted kernel.
+        -(1 + rho) times the stationarity values s_x / Z of the tilted kernel.
 
         Zero at rho = -1, where E0 depends on Q only through its support, and
         at rho = 0, where E0 vanishes identically."""
@@ -891,13 +889,7 @@ class _SupportObjective:
         inner = (rho > -1 + 1e-9) & (rho < -1e-12)
         if inner.any():
             r = rho[inner]
-            _, li, reachable, _, log_z = _log_partition(r, guarded_log(q[inner], -np.inf), self.logp)
-            # Unreachable outputs (li = -inf) are masked out; the terms of
-            # letters off supp(Q) may overflow to +inf.
-            with np.errstate(invalid="ignore", over="ignore"):
-                expo = (1.0 / (1.0 + r))[:, None, None] * self.logp + (r[:, None] * li - log_z[:, None])[:, None, :]
-                cells = np.where(reachable[:, None, :], np.exp(expo), 0.0)
-            grad[inner] = -(1.0 + r)[:, None] * cells.sum(axis=2)
+            grad[inner] = -(1.0 + r)[:, None] * _stationarity(r, guarded_log(q[inner], -np.inf), self.logp)[0]
         return grad
 
 

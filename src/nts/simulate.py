@@ -24,6 +24,7 @@ import numpy as np
 from .itcore import (
     Channel,
     Distribution,
+    JointDistribution,
     ResourceLimitError,
     TIE_TOL,
     TypeWithDenominator,
@@ -33,11 +34,11 @@ from .itcore import (
 )
 from .exponents import (
     Boundary,
-    StrictDomainReport,
-    correct_exponent_ml,
+    correct_exponent_ml,  # not called here; the benchmark tracer rebinds it (tests/test_tracer_bindings.py)
     correct_exponent_ml_sweep,
-    correct_exponent_strict,
     error_exponent_sweep,
+    minus_one_family,
+    minus_one_member,
     tilted_joint,
 )
 from .oracle import CompetitorClassTable, check_class_count, competitor_class_table, decode_metric, loglik_metric
@@ -437,8 +438,8 @@ def _update_stats(updates: list, config: SimConfig) -> tuple:
     last block.  Updated distributions are type marginals (multiples of 1/n)
     and repeat, so each distinct Q of a channel is solved once, all of them in
     one batched sweep per exponent.  The minimizer is the tilted joint at
-    rho*, or at rho* = -1 the strict exponent's family member (the ML one
-    beyond r_plus, where the strict formula does not apply)."""
+    rho*, or at rho* = -1 the family member at R + delta (T_-1 o v_minus, the
+    ML one, beyond r_plus, where the strict formula does not apply)."""
     rate_plus = config.rate + config.delta
     channels: dict = {}
     for *_, q, p in updates:
@@ -450,13 +451,13 @@ def _update_stats(updates: list, config: SimConfig) -> tuple:
         errors = error_exponent_sweep(config.rate, rows, p).value
         corrects = correct_exponent_ml_sweep(rate_plus, rows, p)
         for q, ee, ec, rho, flag in zip(qs, errors, corrects.value, corrects.rho_star, corrects.boundary):
-            if flag is Boundary.RHO_MINUS_ONE:
-                res = correct_exponent_strict(rate_plus, q, p)
-                if isinstance(res, StrictDomainReport):
-                    res = correct_exponent_ml(rate_plus, q, p)
-                mass = res.minimizer.mass
-            else:
+            fam = minus_one_family(q, p) if flag is Boundary.RHO_MINUS_ONE else None
+            if fam is None:
                 mass = tilted_joint(float(rho), q, p).joint.mass
+            elif rate_plus <= fam.r_plus:
+                mass = minus_one_member(fam, q, rate_plus).mass
+            else:  # no strict member: the ML minimizer
+                mass = JointDistribution.from_t_v(fam.t_minus1.probs, fam.v_minus).mass
             solved[key, q.probs.tobytes()] = float(ee), float(ec), mass
     stats = []
     for block, desync, winner_counts, q, p in updates:

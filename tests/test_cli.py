@@ -511,6 +511,24 @@ class TestOtherCommands:
                 assert float(row[4]) < 0.06
         assert (out / "cc_bound.csv").exists()
 
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below_r_plus", "above_r_plus"])
+    def test_oracle_strict_cell_is_the_strict_exponent_up_to_r_plus(self, tmp_path, side):
+        # A channel with two equal rows, so r_minus < r_plus.
+        rows, q = [[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]], [0.25, 0.25, 0.5]
+        p, q0 = Channel(np.array(rows)), Distribution(np.array(q))
+        rate = minus_one_family(q0, p).r_plus + side * 1e-9
+        cfg = write_config(tmp_path / "c.json", channel={"rows": rows}, q0=q, rate=rate)
+        out = tmp_path / "out"
+        assert run_command(["oracle", "--config", cfg, "--out-dir", str(out)]) == 0
+        cells = dict(line.split(",")[:3:2] for line in (out / "oracle_compare.csv").read_text().splitlines()[1:])
+        strict = correct_exponent_strict(rate, q0, p)
+        if side < 0:
+            assert strict.boundary_flag is Boundary.RHO_MINUS_ONE
+            assert cells["correct_strict"] == _fmt(strict.value)
+        else:
+            assert isinstance(strict, StrictDomainReport)
+            assert cells["correct_strict"] == "NA"
+
 
 class TestImportCost:
     def test_importing_the_cli_leaves_scipy_optimize_out(self):

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import nts.exponents
 
 from nts.itcore import Channel, Distribution, JointDistribution, kl_masses, mutual_information
 from nts.exponents import (
@@ -19,6 +22,7 @@ from nts.exponents import (
     error_exponent,
     error_exponent_sweep,
     minus_one_family,
+    minus_one_member,
     tilted_joint,
 )
 
@@ -414,3 +418,70 @@ class TestBatchedSweep:
             for rates, q in (([], UNIF), (0.2, np.zeros((0, 2)))):
                 out = sweep(rates, q, BSC)
                 assert (out.value.shape, out.rho_star.shape, out.boundary) == ((0,), (0,), ())
+
+
+def _member_by_200_halvings(fam, q, rate):
+    """Reference for ``minus_one_member``: the lambda bisection with 200
+    halvings at most, stopping only on a bracket narrower than 1e-16, which
+    cannot happen for lambda >= 0.5."""
+    t = fam.t_minus1.probs
+    tq = np.outer(t, q.probs)
+
+    def gap(lam):
+        v = (1 - lam) * fam.v_minus + lam * fam.v_plus
+        return kl_masses(t[:, None] * v, tq) - rate
+
+    lo, hi = 0.0, 1.0
+    if gap(0.0) >= 0:
+        lam = 0.0
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if gap(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-16:
+                break
+        lam = 0.5 * (lo + hi)
+    return JointDistribution.from_t_v(t, (1 - lam) * fam.v_minus + lam * fam.v_plus)
+
+
+@st.composite
+def family_and_rate(draw):
+    """A 2-5 input channel whose first two rows are equal (as in WIDE), a Q
+    with mass on both, and a rate between r_minus and r_plus, either end
+    included."""
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    rows = [draw(_weights(ny)) for _ in range(nx - 1)]
+    rows = np.array([rows[0]] + rows, dtype=float)
+    weights = [draw(st.integers(1, 20)) for _ in range(2)] + [draw(st.integers(0, 20)) for _ in range(nx - 2)]
+    q = Distribution(np.array(weights, dtype=float) / sum(weights))
+    u = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return q, Channel(rows / rows.sum(axis=1, keepdims=True)), u
+
+
+class TestMinusOneMember:
+    @settings(max_examples=150, deadline=None)
+    @given(family_and_rate())
+    def test_equals_the_200_halving_bisection_in_few_steps(self, case):
+        q, p, u = case
+        fam = minus_one_family(q, p)
+        assume(fam.r_minus < fam.r_plus)
+        rate = min(fam.r_minus + u * (fam.r_plus - fam.r_minus), fam.r_plus)
+        with mock.patch.object(nts.exponents, "kl_masses", wraps=kl_masses) as gap_calls:
+            member = minus_one_member(fam, q, rate)
+        assert np.array_equal(member.mass, _member_by_200_halvings(fam, q, rate).mass)
+        assert gap_calls.call_count <= 60
+
+    def test_the_bisection_reaches_lambda_above_one_half(self):
+        # The stall stop matters where lambda >= 0.5: there the bracket never
+        # gets narrower than 1e-16.
+        fam = minus_one_family(WIDE_Q, WIDE)
+        rate = fam.r_minus + 0.9 * (fam.r_plus - fam.r_minus)
+        with mock.patch.object(nts.exponents, "kl_masses", wraps=kl_masses) as gap_calls:
+            member = minus_one_member(fam, WIDE_Q, rate)
+        assert np.array_equal(member.mass, _member_by_200_halvings(fam, WIDE_Q, rate).mass)
+        (m0, m1, _), _ = member.mass  # output 0: v = ((1 + lam) / 2, (1 - lam) / 2, 0)
+        assert (m0 - m1) / (m0 + m1) > 0.5
+        assert gap_calls.call_count <= 60

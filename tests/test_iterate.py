@@ -131,6 +131,15 @@ class TestFixedRateRun:
         with pytest.raises(ValueError, match="rate"):
             fixed_rate_run(UNIF, rate, BSC, max_iter=50)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected_before_any_step(self, max_iter, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr("nts.iterate.fixed_rate_step", no_step)
+        with pytest.raises(ValueError, match="max_iter"):
+            fixed_rate_run(UNIF, 0.3, BSC, max_iter=max_iter)
+
 
 def _nan_at_step(monkeypatch, name: str, field: str, bad: int) -> None:
     """Patch the step function ``name`` of nts.iterate so that the record of
@@ -227,6 +236,15 @@ class TestFixedSlope:
         with pytest.raises(ValueError, match="rho"):
             fixed_slope_run(UNIF, rho, BSC, max_iter=50)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected_before_any_step(self, max_iter, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr("nts.iterate.fixed_slope_step", no_step)
+        with pytest.raises(ValueError, match="max_iter"):
+            fixed_slope_run(UNIF, -0.5, BSC, max_iter=max_iter)
+
     def test_terminal_matches_grid_minimum(self):
         for rho in (-0.8, -0.5, -0.2):
             run = fixed_slope_run(UNIF, rho, ASYM, tol=1e-13)
@@ -261,6 +279,19 @@ class TestStationarityResidual:
     def test_terminal_residual_small(self):
         run = fixed_slope_run(Distribution(np.array([0.2, 0.8])), -0.6, ASYM, tol=1e-13)
         assert run.stationarity < 1e-8
+
+    def test_matches_the_tilted_pair_form(self):
+        # The values s_x also read e^{-E0} (T o V)(x) / Q(x) with the tilted
+        # pair at rho; the two forms agree to roundoff.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            nx, ny = rng.integers(2, 5, size=2)
+            p = Channel(rng.dirichlet(np.ones(ny), size=nx))
+            q = Distribution(rng.dirichlet(np.ones(nx)))
+            rho = float(rng.uniform(-0.95, -0.05))
+            sol = tilted_joint(rho, q, p)
+            vals = math.exp(-sol.e0) * sol.joint.marginal_x / q.probs
+            assert stationarity_residual(q, rho, p) == pytest.approx(vals.max() - vals.min(), abs=1e-14)
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):

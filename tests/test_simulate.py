@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nts.exponents
+import nts.simulate
 from compositions_reference import compositions_iter
 from update_stats_reference import record_updates, reference_update_stats
+from nts.exponents import Boundary, correct_exponent_ml_sweep, minus_one_family
 from nts.itcore import Channel, Distribution, ResourceLimitError
 from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n
 from nts.simulate import (
@@ -441,6 +444,48 @@ class TestUpdateStats:
     def test_ml_fallback_beyond_r_plus(self, monkeypatch, case):
         _, regimes, _ = self._check(monkeypatch, self._literal(case))
         assert "rho_minus_one_beyond_r_plus" in regimes
+
+    @pytest.mark.parametrize("case", [TERNARY, RAND_3X3, RAND_3X2], ids=["ternary", "3x3", "3x2"])
+    def test_minus_one_rows_build_one_family_each(self, monkeypatch, case):
+        # No scalar correct-decoding exponent: each distinct rho* = -1 row
+        # builds its family once and takes the member from it.
+        families = []
+
+        def family(q, p):
+            families.append((q.probs.tobytes(), id(p)))
+            return minus_one_family(q, p)
+
+        def scalar_exponent(*args):
+            raise AssertionError("the update statistics called a scalar exponent")
+
+        monkeypatch.setattr(nts.simulate, "minus_one_family", family)
+        for name in ("correct_exponent_strict", "correct_exponent_ml"):
+            monkeypatch.setattr(nts.exponents, name, scalar_exponent)
+            monkeypatch.setattr(nts.simulate, name, scalar_exponent, raising=False)
+        config = self._literal(case)
+        *_, updates = self._check(monkeypatch, config)
+        rate_plus = config.rate + config.delta
+        minus_one = {
+            (q.probs.tobytes(), id(p))
+            for *_, q, p in updates
+            if correct_exponent_ml_sweep(rate_plus, q, p).boundary[0] is Boundary.RHO_MINUS_ONE
+        }
+        assert minus_one
+        assert sorted(families) == sorted(minus_one)
+
+    @pytest.mark.parametrize("where, regime", [(0.5, "minus_one_bisected"), (1.05, "rho_minus_one_beyond_r_plus")])
+    def test_minus_one_member_on_a_wide_family(self, where, regime):
+        # Two equal rows give r_minus < r_plus, so the member at R + delta and
+        # the ML minimizer T_-1 o v_minus differ.
+        p = Channel(np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]]))
+        q = Distribution(np.array([0.25, 0.25, 0.5]))
+        fam = minus_one_family(q, p)
+        rate = fam.r_minus + where * (fam.r_plus - fam.r_minus)
+        config = SimConfig(n=4, rate=rate - 0.05, delta=0.05, blocks=1, q0=q, channel_schedule=((0, p),), seed=0)
+        updates = [(0, False, np.array([[1, 1, 0], [0, 0, 2]]), q, p)]
+        expected, regimes = reference_update_stats(updates, config)
+        assert regimes == {regime}
+        assert nts.simulate._update_stats(updates, config) == expected
 
     def test_same_q_under_two_channels(self, monkeypatch):
         a, b = Channel.bsc(0.1), Channel.bsc(0.2)

@@ -31,3 +31,9 @@ def test_simulate_binds_correct_exponent_ml():
     # ``nts.simulate.correct_exponent_ml`` and uninstalling restores it.
     simulate = importlib.import_module("nts.simulate")
     assert simulate.correct_exponent_ml is importlib.import_module("nts.exponents").correct_exponent_ml
+
+
+def test_cli_binds_correct_exponent_ml():
+    # The same tracer test reads ``nts.cli.correct_exponent_ml`` too.
+    cli = importlib.import_module("nts.cli")
+    assert cli.correct_exponent_ml is importlib.import_module("nts.exponents").correct_exponent_ml
