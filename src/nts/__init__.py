@@ -9,7 +9,5 @@ from .itcore import (  # noqa: F401
     JointDistribution,
     ResourceLimitError,
     TypeWithDenominator,
-    kl_joint,
     mutual_information,
-    product_joint,
 )

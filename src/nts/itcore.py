@@ -200,21 +200,9 @@ def kl_masses(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(av * (np.log(av) - np.log(b[pos]))))
 
 
-def kl_joint(a: JointDistribution, b: JointDistribution) -> float:
-    """D(a || b) in nats; +inf iff a's support is not contained in b's."""
-    if a.mass.shape != b.mass.shape:
-        raise ValueError(f"shape mismatch: {a.mass.shape} vs {b.mass.shape}")
-    return kl_masses(a.mass, b.mass)
-
-
-def product_joint(t: Distribution, q: Distribution) -> JointDistribution:
-    """Product distribution with mass ``t(y) * q(x)``."""
-    return JointDistribution(np.outer(t.probs, q.probs))
-
-
 def mutual_information(j: JointDistribution) -> float:
     """I(X;Y) of the joint, as D(j || product of its own marginals)."""
-    return kl_joint(j, product_joint(Distribution(j.marginal_y), Distribution(j.marginal_x)))
+    return kl_masses(j.mass, np.outer(j.marginal_y, j.marginal_x))
 
 
 def empirical_joint_type(xseq, yseq, num_inputs: int, num_outputs: int) -> TypeWithDenominator:

@@ -89,10 +89,11 @@ def decode_metric(counts, n: int, q: Distribution, received=None):
     the batch shape; masses with ``n = 1`` give the divergence itself.
 
     An integer batch with more cells than n reads x log x from a table over
-    0..n.  ``received``, the per-output counts shared by every matrix of the
-    batch (those of a literal block's received word), gives the r log r term
-    once for the whole batch.  Neither changes a bit of the result: the
-    terms are the same floats, summed in the same order.
+    0..n.  ``received``, per-output counts (..., |Y|) that broadcast against
+    the batch (those of each codebook's received word, with an axis of one
+    for its codewords), gives the r log r term once per codebook.  Neither
+    changes a bit of the result: the terms are the same floats, summed in the
+    same order.
     """
     c = np.asarray(counts)
     if np.issubdtype(c.dtype, np.integer) and c.size > n:

@@ -1,14 +1,20 @@
 """Monte Carlo simulation of i.i.d. random codes with the channel-independent
 decoder and the one-bit-feedback input adaptation loop.
 
-The decoder never reads the channel matrix: decisions are a pure function of
-(codebook, received word, Q, delta).  Codebooks are regenerated fresh every
-block from the current Q.  When the codebook size ceil(e^{nR}) fits
-``codebook_cap`` the codebook is materialized and decoded literally; beyond
-the cap the block outcome is sampled from its exact distribution instead,
-using the competitor conditional-type class tables (the codewords other than
-the transmitted one are i.i.d. and independent of the received word, so only
-the top metric order statistics matter).
+One pure batched function, ``decode``, makes every literal decision: the
+unique argmax of the decode metric over each codebook, from the codebook, its
+received word and Q.  The natural metric never reads the channel matrix; the
+ML decoder (``use_ml_decoder``) does, through log P.  The feedback bit is the
+block's job: from the top two metrics and delta (margin scheme), or from the
+winner's metric, the rate and delta (threshold scheme).
+
+Codebooks are regenerated fresh every block from the current Q.  When the
+codebook size ceil(e^{nR}) fits ``codebook_cap`` the codebook is materialized
+and decoded literally; beyond the cap the block outcome is sampled from its
+exact distribution instead, using the competitor conditional-type class
+tables (the codewords other than the transmitted one are i.i.d. and
+independent of the received word, so only the top metric order statistics
+matter).
 """
 
 from __future__ import annotations
@@ -74,8 +80,13 @@ class SimConfig:
     use_ml_decoder: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.blocks < 0 or self.delta < 0:
-            raise ValueError("invalid simulation parameters")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n!r}")
+        if self.blocks < 0:
+            raise ValueError(f"blocks must be non-negative, got {self.blocks!r}")
+        for name in ("rate", "delta"):  # `not >=` also refuses NaN; delta = +inf never updates
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative and not NaN, got {getattr(self, name)!r}")
         sched = tuple(self.channel_schedule)
         if not sched or sched[0][0] != 0:
             raise ValueError("channel schedule must start at block 0")
@@ -123,11 +134,6 @@ class RunSummary:
 class SimResult:
     trace: tuple
     summary: RunSummary
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial of a multi-trial study."""
-    return np.random.default_rng([seed, trial])
 
 
 def _draw_by_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -179,42 +185,35 @@ def _codeword_counts(books: np.ndarray, y: np.ndarray, nx: int, ny: int) -> np.n
     return flat.reshape(*lead, ny, nx)
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    decoded: int | None
-    winner_metric: float
-    runner_up_metric: float
-    feedback: int
+def decode(books: np.ndarray, y: np.ndarray, q: Distribution, ny: int, logp: np.ndarray | None = None):
+    """Unique-argmax decoding of every codebook of ``books`` (..., M, n) from
+    its received word ``y`` (..., n) over ``ny`` output letters.
 
-
-def natural_decode(codebook: np.ndarray, y: np.ndarray, q: Distribution, delta: float) -> DecodeOutcome:
-    """Unique-argmax decoding of the metric average, with margin feedback.
-
-    Ties (within TIE_TOL) are erasures with feedback 0.  A single-codeword
-    codebook wins vacuously with feedback 1 (unless delta is the +inf
-    sentinel, which always forces feedback 0).
+    The decode metric is the natural one, or the ML one (``loglik_metric``)
+    when ``logp[y, x] = log P(y|x)`` is given.  Returns the joint type counts
+    (..., M, ny, |X|), the natural metrics (..., M) and, for each codebook,
+    the index of the unique top decode metric (-1 on a tie within TIE_TOL)
+    with the top two decode metrics.  A single codeword wins vacuously over a
+    runner-up of -inf.  Each codebook's results are those of decoding it
+    alone, bit for bit.
     """
-    counts = _codeword_counts(codebook, y, len(q), int(y.max()) + 1)
-    decoded, best, second = _pick_winner(decode_metric(counts, codebook.shape[1], q))
-    return DecodeOutcome(decoded, best, second, _margin_decide(decoded, best, second, delta))
+    n = books.shape[-1]
+    counts = _codeword_counts(books, y, len(q), ny)
+    nat = decode_metric(counts, n, q, received=counts[..., :1, :, :].sum(axis=-1))
+    metrics = nat if logp is None else loglik_metric(counts, n, logp)
+    if metrics.shape[-1] == 1:
+        best, second = metrics[..., 0], np.full(metrics.shape[:-1], -math.inf)
+        return counts, nat, np.zeros(metrics.shape[:-1], dtype=np.int64), best, second
+    top2 = np.argpartition(-metrics, 1, axis=-1)[..., :2]  # the larger first
+    best, second = np.moveaxis(np.take_along_axis(metrics, top2, axis=-1), -1, 0)
+    return counts, nat, np.where(best > second + TIE_TOL, top2[..., 0], -1), best, second
 
 
-def _pick_winner(metrics: np.ndarray):
-    """(unique argmax or None on a tie, top metric, runner-up metric); the
-    runner-up of a single codeword is -inf."""
-    if metrics.size == 1:
-        return 0, float(metrics[0]), -math.inf
-    top2 = np.argpartition(-metrics, 1)[:2]
-    if metrics[top2[0]] < metrics[top2[1]]:
-        top2 = top2[::-1]
-    best, second = float(metrics[top2[0]]), float(metrics[top2[1]])
-    return (int(top2[0]) if best > second + TIE_TOL else None), best, second
-
-
-def _margin_decide(decoded: int | None, winner_metric: float, runner_up_metric: float, delta: float) -> int:
-    """Feedback bit of the margin scheme: 1 iff a codeword was decoded and its
-    metric beats the runner-up's by more than delta (never at delta = +inf)."""
-    return int(decoded is not None and delta != math.inf and winner_metric - runner_up_metric > delta + TIE_TOL)
+def _margin_decide(decoded, winner_metric, runner_up_metric, delta: float):
+    """Feedback bits of the margin scheme, elementwise: 1 where a codeword was
+    decoded and its metric beats the runner-up's by more than delta (never at
+    delta = +inf)."""
+    return decoded & (delta != math.inf) & (winner_metric - runner_up_metric > delta + TIE_TOL)
 
 
 def threshold_decide(winner_metric: float, rate: float, delta: float) -> int:
@@ -322,14 +321,12 @@ def _literal_block(q: Distribution, p: Channel, rng: np.random.Generator, config
     sent = int(rng.integers(0, codebook.shape[0]))
     y = _transmit(codebook[sent], p, rng)
     jt = empirical_joint_type(codebook[sent], y, nx, ny)
-
-    counts = _codeword_counts(codebook, y, nx, ny)
-    nat = decode_metric(counts, n, q, received=jt.counts.sum(axis=1))
-    metrics = loglik_metric(counts, n, guarded_log(p.matrix.T, -np.inf)) if config.use_ml_decoder else nat
-    decoded, _, runner_up = _pick_winner(metrics)
-    if decoded is None:
+    logp = guarded_log(p.matrix.T, -np.inf) if config.use_ml_decoder else None
+    counts, nat, winner, _, runner_up = decode(codebook, y, q, ny, logp)
+    winner = int(winner)
+    if winner < 0:
         return None, False, float(nat[sent]), float(nat[sent]), jt, None
-    return decoded, decoded == sent, float(nat[decoded]), runner_up, jt, counts[decoded]
+    return winner, winner == sent, float(nat[winner]), float(runner_up), jt, counts[winner]
 
 
 def _block(q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict):
@@ -345,7 +342,7 @@ def _block(q: Distribution, p: Channel, m: int, rng: np.random.Generator, config
     if config.scheme is Scheme.THRESHOLD:
         feedback = int(decoded is not None and threshold_decide(winner_metric, config.rate, config.delta))
     else:
-        feedback = _margin_decide(decoded, winner_metric, runner_up, config.delta)
+        feedback = int(_margin_decide(decoded is not None, winner_metric, runner_up, config.delta))
     outcome = BlockOutcome(
         decoded=decoded,
         correct=correct,
@@ -512,9 +509,13 @@ def fixed_q_event_counts(
     seed: int,
 ) -> dict:
     """Vectorized single-block trials at fixed Q (no adaptation): counts of
-    {error, correct-strict, sent-wins-with-margin} over ``trials`` blocks.
+    {error, correct-strict, sent-wins-with-margin} over ``trials`` blocks,
+    each decoded by ``decode``.
 
-    Used to validate the exact finite-n analyzer by Monte Carlo."""
+    Used to validate the exact finite-n analyzer by Monte Carlo.  The
+    parameters are checked as those of a ``SimConfig``, with ``trials`` in the
+    place of ``blocks``."""
+    SimConfig(n=n, rate=rate, delta=delta, blocks=trials, q0=q, channel_schedule=((0, p),), seed=seed)
     m = codebook_size(n, rate)
     if m * trials * n > TRIAL_CELL_CAP:
         raise ResourceLimitError(
@@ -522,27 +523,15 @@ def fixed_q_event_counts(
             f" exceeds the cap TRIAL_CELL_CAP = {TRIAL_CELL_CAP}"
         )
     rng = np.random.default_rng(seed)
-    nx, ny = p.num_inputs, p.num_outputs
-
     books = _draw_iid(q.probs, trials * m * n, rng).reshape(trials, m, n)
-    sent = books[:, 0, :]  # message index is immaterial by symmetry
-    y = _transmit(sent, p, rng)
-
-    mets = decode_metric(_codeword_counts(books, y, nx, ny), n, q)  # (trials, m)
-
-    b0 = mets[:, 0]
-    comp = mets[:, 1:] if m > 1 else np.full((trials, 1), -math.inf)
-    cmax = comp.max(axis=1)
-    correct = b0 > cmax + TIE_TOL
-    if delta == math.inf:
-        margin = np.zeros(trials, dtype=bool)
-    else:
-        margin = b0 - cmax > delta + TIE_TOL
+    y = _transmit(books[:, 0, :], p, rng)  # message index is immaterial by symmetry
+    _, _, winner, best, second = decode(books, y, q, p.num_outputs)
+    correct = winner == 0
     return {
         "trials": trials,
         "error": int((~correct).sum()),
         "correct_strict": int(correct.sum()),
-        "feedback1": int(margin.sum()),
+        "feedback1": int(_margin_decide(correct, best, second, delta).sum()),
     }
 
 

@@ -10,22 +10,22 @@ import nts.simulate
 from compositions_reference import compositions_iter
 from update_stats_reference import record_updates, reference_update_stats
 from nts.exponents import Boundary, correct_exponent_ml_sweep, minus_one_family
-from nts.itcore import Channel, Distribution, ResourceLimitError
-from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n
+from nts.itcore import TIE_TOL, Channel, Distribution, ResourceLimitError
+from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n, loglik_metric
 from nts.simulate import (
     LITERAL_CELL_CAP,
     TRIAL_CELL_CAP,
     Scheme,
     SimConfig,
     _draw_by_cdf,
+    _margin_decide,
     build_codebook,
+    decode,
     estimate_exponent,
     fixed_q_event_counts,
     fixed_q_outcomes,
-    natural_decode,
     nts_run,
     threshold_decide,
-    trial_rng,
 )
 
 BSC = Channel.bsc(0.1)
@@ -189,51 +189,90 @@ class TestCapsBeforeAnyBlock:
             nts_run(self._config(n, 0.01, q0, Channel.bsc(0.01)))
 
 
+def _natural_decode(codebook, y, q, delta):
+    """(winner, top metric, runner-up metric, margin feedback bit) of one
+    codebook over two output letters."""
+    _, _, winner, best, second = decode(np.asarray(codebook), np.asarray(y), q, 2)
+    return int(winner), float(best), float(second), int(_margin_decide(winner >= 0, best, second, delta))
+
+
 class TestNaturalDecode:
+    """``decode`` with the natural metric, then the margin rule."""
+
     def test_hand_example(self):
-        codebook = np.array([[0, 1], [0, 0]])
-        y = np.array([0, 1])
-        out = natural_decode(codebook, y, Q34, 0.5)
-        assert out.decoded == 0
-        assert out.winner_metric == pytest.approx(0.836988, abs=1e-6)
-        assert out.runner_up_metric == pytest.approx(0.287682, abs=1e-6)
-        assert out.feedback == 1
+        decoded, best, second, feedback = _natural_decode([[0, 1], [0, 0]], [0, 1], Q34, 0.5)
+        assert decoded == 0
+        assert best == pytest.approx(0.836988, abs=1e-6)
+        assert second == pytest.approx(0.287682, abs=1e-6)
+        assert feedback == 1
 
     def test_exact_tie_is_erasure(self):
-        codebook = np.array([[0, 1], [0, 1]])
-        out = natural_decode(codebook, np.array([0, 1]), Q34, 0.0)
-        assert out.decoded is None and out.feedback == 0
+        decoded, best, second, feedback = _natural_decode([[0, 1], [0, 1]], [0, 1], Q34, 0.0)
+        assert decoded == -1 and feedback == 0
+        assert best == second
 
     def test_single_codeword_wins_vacuously(self):
-        out = natural_decode(np.array([[0, 1]]), np.array([0, 1]), Q34, 0.3)
-        assert out.decoded == 0 and out.feedback == 1
+        decoded, _, second, feedback = _natural_decode([[0, 1]], [0, 1], Q34, 0.3)
+        assert decoded == 0 and second == -math.inf and feedback == 1
 
     def test_delta_inf_forces_zero(self):
-        out = natural_decode(np.array([[0, 1]]), np.array([0, 1]), Q34, math.inf)
-        assert out.feedback == 0
+        decoded, _, _, feedback = _natural_decode([[0, 1]], [0, 1], Q34, math.inf)
+        assert decoded == 0 and feedback == 0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         codebook = build_codebook(UNIF, 12, 0.2, rng)
         y = rng.integers(0, 2, size=12)
-        out = natural_decode(codebook, y, UNIF, 0.05)
+        decoded, best, second, feedback = _natural_decode(codebook, y, UNIF, 0.05)
         perm = rng.permutation(codebook.shape[0])
-        out_p = natural_decode(codebook[perm], y, UNIF, 0.05)
-        if out.decoded is None:
-            assert out_p.decoded is None
-        else:
-            assert perm[out_p.decoded] == out.decoded
-        assert out.feedback == out_p.feedback
-        assert out.winner_metric == pytest.approx(out_p.winner_metric, abs=1e-14)
+        decoded_p, best_p, second_p, feedback_p = _natural_decode(codebook[perm], y, UNIF, 0.05)
+        assert (decoded_p == -1) if decoded == -1 else (perm[decoded_p] == decoded)
+        assert (best_p, second_p, feedback_p) == (best, second, feedback)
 
     def test_decoder_never_reads_channel(self):
-        # Pure function of (codebook, y, Q, delta): no channel argument exists,
-        # and repeated calls give identical results.
+        # The counts and natural metrics are those of (codebook, y, Q) alone:
+        # an ML metric changes only the decision.
         codebook = np.array([[0, 1, 1], [1, 0, 0]])
         y = np.array([0, 1, 0])
-        a = natural_decode(codebook, y, Q34, 0.1)
-        b = natural_decode(codebook, y, Q34, 0.1)
-        assert a == b
+        counts, nat = decode(codebook, y, Q34, 2)[:2]
+        counts_ml, nat_ml = decode(codebook, y, Q34, 2, np.log(P2.matrix.T))[:2]
+        assert np.array_equal(counts, counts_ml) and np.array_equal(nat, nat_ml)
+        assert list(nat) == [decode_metric(c, 3, Q34) for c in counts]
+
+
+@st.composite
+def stacked_codebooks(draw):
+    """1-4 codebooks of 1-5 words of 1-5 symbols over 2-3 input and output
+    letters, with their received words.  Some codebooks repeat one word in
+    every row (an exact tie), and half the draws give log P for the ML
+    metric."""
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    t, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = Distribution(rng.dirichlet(np.ones(nx)))
+    books = rng.integers(0, nx, size=(t, m, n)).astype(np.uint8)
+    tied = np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)))
+    books[tied] = books[tied, :1]
+    y = rng.integers(0, ny, size=(t, n))
+    logp = np.log(rng.dirichlet(np.ones(ny), size=nx).T) if draw(st.booleans()) else None
+    return books, y, q, ny, logp
+
+
+class TestDecode:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_codebooks())
+    def test_stack_decodes_as_each_codebook_alone(self, case):
+        books, y, q, ny, logp = case
+        stacked = decode(books, y, q, ny, logp)
+        for i in range(books.shape[0]):
+            counts, nat, winner, best, second = alone = decode(books[i], y[i], q, ny, logp)
+            for whole, part in zip(stacked, alone):
+                assert np.array_equal(whole[i], part)
+            n = books.shape[-1]
+            metrics = nat if logp is None else loglik_metric(counts, n, logp)
+            top = sorted(metrics, reverse=True) + [-math.inf]
+            assert (best, second) == (top[0], top[1])
+            assert winner == (int(np.argmax(metrics)) if top[0] > top[1] + TIE_TOL else -1)
 
 
 class TestThresholdDecide:
@@ -258,6 +297,8 @@ class TestAgainstExactAnalyzer:
         ):
             se = math.sqrt(exact * (1 - exact) / t)
             assert abs(counts[key] / t - exact) <= 5 * se
+        # Pinned: any change to the literal decoder's decisions moves these.
+        assert counts == {"trials": 30000, "error": 10686, "correct_strict": 19314, "feedback1": 16961}
 
     def test_virtual_path_matches_exact(self):
         # Force the sampled path by setting the codebook cap below m.
@@ -367,6 +408,17 @@ class TestNtsRun:
             self._config(channel_schedule=((1, BSC),))
         with pytest.raises(ValueError):
             self._config(channel_schedule=((0, BSC), (0, BSC)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rate", -0.5), ("rate", math.nan), ("delta", -0.1), ("delta", math.nan), ("n", 0), ("blocks", -1)],
+    )
+    def test_bad_parameter_refused_before_any_block(self, monkeypatch, field, value):
+        monkeypatch.setattr("nts.simulate._block", _no_block)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            nts_run(self._config(**{field: value}))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            fixed_q_outcomes(UNIF, BSC, **{**dict(n=8, rate=0.2, delta=0.05, blocks=1, seed=0), field: value})
 
     def test_ml_decoder_only_with_threshold(self):
         with pytest.raises(ValueError):
@@ -512,9 +564,11 @@ class TestUpdateStats:
 
 class TestFixedQOutcomes:
     def test_parameters_checked_as_sim_config(self):
-        for n, delta in ((0, 0.1), (5, -0.1)):
-            with pytest.raises(ValueError):
+        for n, delta, field in ((0, 0.1, "n"), (5, -0.1, "delta")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
                 fixed_q_outcomes(UNIF, BSC, n, 0.3, delta, blocks=1, seed=0)
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                fixed_q_event_counts(UNIF, BSC, n, 0.3, delta, trials=1, seed=0)
 
 
 class TestThresholdScheme:
@@ -555,12 +609,3 @@ class TestEstimateExponent:
     def test_frequency_domain(self):
         with pytest.raises(ValueError):
             estimate_exponent([(10, 0.5), (20, 1.5), (30, 0.2)])
-
-
-class TestTrialRng:
-    def test_streams_independent_and_reproducible(self):
-        a = trial_rng(7, 0).random(4)
-        b = trial_rng(7, 0).random(4)
-        c = trial_rng(7, 1).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
