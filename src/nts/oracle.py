@@ -81,6 +81,46 @@ _KIND_RULES = {
 # ---------------------------------------------------------------------------
 
 
+def _pairwise_sum(terms):
+    """numpy's pairwise sum over the leading axis of ``terms``, one elementwise
+    add per step: below 8 entries left to right; up to 128, eight partial sums
+    over blocks of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the entries left over in turn; beyond 128, the two halves apart (the
+    first a multiple of 8 long)."""
+    k = terms.shape[0]
+    if k < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return total
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = terms[:8]
+    for i in range(8, k - k % 8, 8):
+        r = r + terms[i : i + 8]
+    r = r[0::2] + r[1::2]
+    total = (r[0] + r[1]) + (r[2] + r[3])
+    for t in terms[k - k % 8 :]:
+        total = total + t
+    return total
+
+
+def _cell_sum(cells):
+    """The sum over the cells of ``cells`` (|Y| |X|, ...), plane by plane, in
+    the order of ``.sum(axis=(-2, -1))`` over a C-contiguous batch (..., |Y|,
+    |X|): numpy's ``add.reduce`` adds the pairwise sum of each matrix's cells
+    to 0.0.  So a batch held cell-major sums bit for bit as held row-major."""
+    return 0.0 + _pairwise_sum(cells)
+
+
+def _cells(a):
+    """The (|Y|, |X|) cells of a batch (..., |Y|, |X|) as a leading axis (|Y|
+    |X|, ...): a view of a row-major or a cell-major batch."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return flat.transpose((-1,) + tuple(range(flat.ndim - 1)))
+
+
 def decode_metric(counts, n: int, q: Distribution, received=None):
     """D(ToV || TxQ) of joint count matrices ``counts[..., y, x]`` with total
     ``n``: the decoder's metric average, +inf where counts sit off supp(Q).
@@ -88,24 +128,26 @@ def decode_metric(counts, n: int, q: Distribution, received=None):
     One (|Y|, |X|) matrix gives a float, a batch (..., |Y|, |X|) an array of
     the batch shape; masses with ``n = 1`` give the divergence itself.
 
-    An integer batch with more cells than n reads x log x from a table over
-    0..n.  ``received``, per-output counts (..., |Y|) that broadcast against
-    the batch (those of each codebook's received word, with an axis of one
-    for its codewords), gives the r log r term once per codebook.  Neither
-    changes a bit of the result: the terms are the same floats, summed in the
-    same order.
+    The x log x and c log Q terms are summed plane by plane over the cells
+    (``_cell_sum``), fastest on a batch held cell-major.  An integer batch
+    with more cells than n reads x log x from a table over 0..n.
+    ``received``, per-output counts (..., |Y|) that broadcast against the
+    batch (those of each codebook's received word, with an axis of one for
+    its codewords), gives the r log r term once per codebook.  None of the
+    layout, the table and ``received`` changes a bit of the result: the terms
+    are the same floats, summed in the same order.
     """
     c = np.asarray(counts)
     if np.issubdtype(c.dtype, np.integer) and c.size > n:
-        xl = xlogx(np.arange(n + 1)).__getitem__
+        xl = xlogx(np.arange(n + 1)).take
     else:
         c = np.asarray(c, dtype=float)
         xl = xlogx
     rows = c.sum(axis=-1) if received is None else np.asarray(received)
     vals = (
-        xl(c).sum(axis=(-2, -1))
+        _cell_sum(xl(_cells(c)))
         - xl(rows).sum(axis=-1)
-        - (c * guarded_log(q.probs, 0.0)).sum(axis=(-2, -1))
+        - _cell_sum(_cells(c * guarded_log(q.probs, 0.0)))
     ) / n
     off = q.probs == 0
     if off.any():
@@ -127,10 +169,11 @@ def _output_metrics(comps: np.ndarray, ry, logq: np.ndarray, n: int) -> np.ndarr
 def loglik_metric(counts, n: int, logp: np.ndarray):
     """The ML decoder's metric average (1/n) sum_{y,x} counts[..., y, x] log
     P(y|x) of joint count matrices, with ``logp[y, x] = log P(y|x)`` (-inf
-    where P is zero): -inf where counts sit on a zero of P."""
+    where P is zero): -inf where counts sit on a zero of P.  Summed over the
+    cells as ``decode_metric`` sums them."""
     with np.errstate(invalid="ignore"):
         cells = np.where(counts > 0, counts * logp, 0.0)
-    return cells.sum(axis=(-2, -1)) / n
+    return _cell_sum(_cells(cells)) / n
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +722,33 @@ def check_class_count(r, s: int, n: int) -> None:
             raise ResourceLimitError(f"competitor class count exceeds cap {CLASS_CAP} at n={n}")
 
 
+def _stabilize_ties(order, keys) -> None:
+    """Turn ``order``, an unstable argsort with ``keys`` the values in its
+    order, into the stable argsort in place: the indices within each run of
+    equal keys go in ascending order.  Only the runs' positions are sorted,
+    by one int64 key run * size + index.  Each temporary is freed once spent:
+    under heavy ties the runs cover most positions."""
+    size = keys.size
+    tied = keys[1:] == keys[:-1]
+    if not tied.any():
+        return
+    in_run = np.zeros(size, dtype=bool)
+    in_run[:-1] = tied
+    in_run[1:] |= tied
+    starts = in_run.copy()
+    starts[1:] &= ~tied
+    del tied
+    run = np.cumsum(starts[in_run], dtype=np.int64)
+    del starts
+    run *= size
+    key = order[in_run]
+    key += run
+    del run
+    key.sort()
+    key %= size
+    order[in_run] = key
+
+
 def competitor_class_table(r, q: Distribution, n: int, metric_channel: Channel | None = None) -> CompetitorClassTable:
     """Exact per-class probabilities and metrics for one codeword ~ Q^n given a
     received word with output counts ``r``.
@@ -697,7 +767,12 @@ def competitor_class_table(r, q: Distribution, n: int, metric_channel: Channel |
     parts = [_output_part(ry, supp, logq, logq, n, logch[y]) for y, ry in enumerate(r.tolist())]
     logp_all, metric_all, counts = _output_product(parts, q.probs.size, np.min_scalar_type(n))
 
-    order = np.argsort(-metric_all, kind="stable")
+    # Descending: the argsort of the metrics negated in place and back (an
+    # exact round trip), so no negated copy of the largest array is held.
+    np.negative(metric_all, out=metric_all)
+    order = np.argsort(metric_all)
+    np.negative(metric_all, out=metric_all)
+    _stabilize_ties(order, metric_all[order])
     metrics = metric_all[order]
     log_probs = logp_all[order]
 

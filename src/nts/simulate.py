@@ -49,10 +49,13 @@ from .exponents import (
 )
 from .oracle import CompetitorClassTable, check_class_count, competitor_class_table, decode_metric, loglik_metric
 
-# Largest literal block, in symbol cells m * n of its codebook.  Scoring a
-# codebook takes about 17 bytes a cell at its peak (the symbols and two int64
-# index arrays), so the cap holds a literal block under about 300 MB.  A
-# sampled block draws one word, so it is held to n <= LITERAL_CELL_CAP.
+# Largest literal block, in symbol cells m * n of its codebook.  A literal
+# block peaks at about 10.6 bytes a cell on a 3x3 channel at n = 16, m = 2^20
+# (tracemalloc): the float64 uniforms and the symbols while the codebook is
+# drawn, then the metric's float64 planes, 8 bytes per joint cell and
+# codeword, while it is scored.  So with the default CODEBOOK_CAP the cap
+# holds such a block under about 200 MB.  A sampled block draws one word, so
+# it is held to n <= LITERAL_CELL_CAP.
 LITERAL_CELL_CAP = 2**24
 # Default largest codebook that a block materializes; larger ones are sampled.
 CODEBOOK_CAP = 2**20
@@ -138,12 +141,17 @@ class SimResult:
 
 def _draw_by_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The letter of each uniform in ``u`` under the non-decreasing ``cdf``:
-    the number of cdf entries <= u, which is ``np.searchsorted(cdf, u,
-    side="right")``, counted by one comparison per letter in the narrowest
-    unsigned dtype that holds |X|."""
+    the number of cdf entries <= u, with the entries at and beyond the last
+    letter of positive probability (the first entry equal to the last) taken
+    as +inf.  That is ``np.searchsorted(cdf, u, side="right")`` capped at that
+    letter, so no draw leaves the alphabet or lands on a letter of
+    probability zero when the cdf ends below 1.  Counted by one comparison per
+    letter before the last positive one, in the narrowest unsigned dtype that
+    holds |X|."""
+    last = int(np.argmax(cdf == cdf[-1]))
     out = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
-    for c in cdf.tolist():
-        out += u >= c
+    for c in cdf[:last].tolist():
+        out += (u >= c).view(np.uint8)
     return out
 
 
@@ -169,20 +177,31 @@ def build_codebook(
 
 def _transmit(x: np.ndarray, p: Channel, rng: np.random.Generator) -> np.ndarray:
     """Channel outputs for the inputs ``x`` (any shape), one uniform per
-    symbol drawn in C order, by inverse CDF."""
+    symbol drawn in C order, by inverse CDF: the number of the input's cdf
+    entries below u, with the entries at and beyond its last output of
+    positive probability taken as +inf, as in ``_draw_by_cdf``."""
     cdf = np.cumsum(p.matrix, axis=1)
+    cdf[cdf == cdf[:, -1:]] = np.inf
     u = rng.random(x.shape)
-    return (u[..., None] > cdf[x]).sum(axis=-1).astype(np.int64)
+    return (u[..., None] > cdf[x, :-1]).sum(axis=-1, dtype=np.int64)
 
 
 def _codeword_counts(books: np.ndarray, y: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """Joint type counts (..., M, |Y|, |X|) of every codeword of ``books``
-    (..., M, n) with its received word ``y`` (..., n), in one bincount."""
+    (..., M, n) with its received word ``y`` (..., n).
+
+    The counts are a view of cell-major planes (|Y|, |X|, ..., M), each
+    contiguous over the codewords, in the narrowest unsigned dtype that holds
+    n: every symbol's joint cell y |X| + x is laid out one position per row,
+    and each plane counts its cell row by row."""
     lead = books.shape[:-1]
-    cells = ny * nx
-    offs = np.arange(math.prod(lead)).reshape(lead)[..., None] * cells
-    flat = np.bincount((offs + y[..., None, :] * nx + books).ravel(), minlength=math.prod(lead) * cells)
-    return flat.reshape(*lead, ny, nx)
+    axes = tuple(range(len(lead)))
+    cells = books.transpose((-1,) + axes).astype(np.min_scalar_type(ny * nx), order="C")  # a copy: added to below
+    cells += (y.transpose((-1,) + axes[:-1]) * nx).astype(cells.dtype)[..., None]
+    planes = np.empty((ny * nx,) + lead, dtype=np.min_scalar_type(books.shape[-1]))
+    for cell, plane in enumerate(planes):
+        np.add.reduce((cells == cell).view(np.uint8), axis=0, dtype=planes.dtype, out=plane)
+    return planes.reshape((ny, nx) + lead).transpose(tuple(a + 2 for a in axes) + (0, 1))
 
 
 def decode(books: np.ndarray, y: np.ndarray, q: Distribution, ny: int, logp: np.ndarray | None = None):
@@ -267,6 +286,8 @@ def _top_class_is_tied(
 # decoded is None on an erasure, where both metrics are the sent word's natural
 # metric and winner_counts is None.  The metrics are natural ones except the
 # runner-up under the ML decoder, which stays in the decode (ML) domain.
+# winner_counts is an int64 (|Y|, |X|) array that owns its data: ``nts_run``
+# keeps it until the last block, and a view would keep a whole block's counts.
 
 
 def _virtual_block(
@@ -326,7 +347,7 @@ def _literal_block(q: Distribution, p: Channel, rng: np.random.Generator, config
     winner = int(winner)
     if winner < 0:
         return None, False, float(nat[sent]), float(nat[sent]), jt, None
-    return winner, winner == sent, float(nat[winner]), float(runner_up), jt, counts[winner]
+    return winner, winner == sent, float(nat[winner]), float(runner_up), jt, counts[winner].astype(np.int64)
 
 
 def _block(q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict):

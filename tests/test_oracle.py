@@ -32,6 +32,8 @@ from nts.oracle import (
     _GOLDEN,
     _Objective,
     _SupportObjective,
+    _cell_sum,
+    _cells,
     _golden_min,
     _minimize_over_pairs,
     _minimize_over_support,
@@ -536,6 +538,26 @@ class TestCompetitorTableKernel:
         assert np.array_equal(table.counts, counts)
         assert table.counts.dtype == np.min_scalar_type(n)
 
+    @pytest.mark.parametrize(
+        "r",
+        [
+            (125, 125),  # 15,876 classes, each tied with its mirror
+            (47, 47, 46),  # the benchmark's memory_2x3 shape, 108,288 classes
+        ],
+        ids=["binary_125_125", "memory_2x3_47_47_46"],
+    )
+    def test_heavy_ties_keep_the_stable_order(self, r):
+        # Under a uniform binary Q most classes tie with others; the table
+        # keeps the order of a stable argsort of -metric bit for bit.
+        n = sum(r)
+        table = competitor_class_table(np.array(r), UNIF, n)
+        metrics, log_probs, suffix, counts = reference_class_table(r, UNIF, n)
+        assert np.count_nonzero(metrics[1:] == metrics[:-1]) > metrics.size // 2
+        assert table.metrics.tobytes() == metrics.tobytes()
+        assert table.log_probs.tobytes() == log_probs.tobytes()
+        assert table.suffix_logsum.tobytes() == suffix.tobytes()
+        assert np.array_equal(table.counts, counts)
+
 
 @st.composite
 def shared_rows_batch_and_q(draw):
@@ -562,6 +584,23 @@ class TestDecodeMetricKernel:
         for batch in (counts, counts.astype(np.uint8)):
             assert decode_metric(batch, n, q).tobytes() == floats.tobytes()
             assert decode_metric(batch, n, q, received=r).tobytes() == floats.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (2, 3), (3, 3), (2, 4), (4, 4), (3, 7), (12, 12), (13, 11)],
+        ids=lambda shape: f"{shape[0]}x{shape[1]}",
+    )
+    def test_cell_sum_is_numpys_sum_order(self, shape):
+        # Below 8 cells, 8-15, 16 and over (a second block of eight), and
+        # over 128 (numpy halves the run): the plane-wise sum of a cell-major
+        # batch equals .sum(axis=(-2, -1)) of the row-major batch bit for bit,
+        # also where every cell is -0.0 (the sum starts from 0.0).
+        rng = np.random.default_rng(sum(shape))
+        batch = rng.standard_normal((64,) + shape) * 10.0 ** rng.uniform(-5, 5, (64,) + shape)
+        batch[:4] = -0.0
+        cell_major = np.ascontiguousarray(np.moveaxis(batch, (-2, -1), (0, 1)))
+        summed = _cell_sum(_cells(np.moveaxis(cell_major, (0, 1), (-2, -1))))
+        assert summed.tobytes() == batch.sum(axis=(-2, -1)).tobytes()
 
 
 class TestExactProperties:

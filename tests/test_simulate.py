@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import nts.exponents
 import nts.simulate
 from compositions_reference import compositions_iter
+from decode_reference import reference_counts, reference_decode_metric, reference_loglik_metric
 from update_stats_reference import record_updates, reference_update_stats
 from nts.exponents import Boundary, correct_exponent_ml_sweep, minus_one_family
-from nts.itcore import TIE_TOL, Channel, Distribution, ResourceLimitError
+from nts.itcore import TIE_TOL, Channel, Distribution, ResourceLimitError, guarded_log
 from nts.oracle import CLASS_CAP, decode_metric, exact_finite_n, loglik_metric
 from nts.simulate import (
     LITERAL_CELL_CAP,
@@ -19,6 +20,7 @@ from nts.simulate import (
     SimConfig,
     _draw_by_cdf,
     _margin_decide,
+    _transmit,
     build_codebook,
     decode,
     estimate_exponent,
@@ -87,22 +89,46 @@ class TestBuildCodebook:
 @st.composite
 def cdf_and_uniforms(draw):
     """A non-decreasing cdf over 1-6 letters, with repeated entries from
-    zero-probability letters and a last entry at or below 1, and uniforms
-    that include every cdf entry and its two float neighbours."""
+    zero-probability letters and a last entry at or below 1, the last letter
+    of positive probability, and uniforms that include every cdf entry and
+    its two float neighbours."""
     weights = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any)), dtype=float)
     scale = draw(st.sampled_from([1.0, 0.75, 1.0 - 2.0**-40]))
     cdf = np.cumsum(weights / weights.sum()) * scale
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.concatenate(([0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), rng.random(64)))
-    return cdf, u[u < 1.0]
+    return cdf, int(np.flatnonzero(weights)[-1]), u[u < 1.0]
+
+
+class _StuckRng:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
 
 
 class TestDrawByCdf:
     @settings(max_examples=200, deadline=None)
     @given(cdf_and_uniforms())
     def test_equals_searchsorted_right(self, case):
-        cdf, u = case
-        assert np.array_equal(_draw_by_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
+        # searchsorted(side="right"), capped at the last letter of positive
+        # probability: a uniform at or above a cdf that ends below 1 draws
+        # that letter, not one past the alphabet or of probability zero.
+        cdf, last, u = case
+        assert np.array_equal(_draw_by_cdf(cdf, u), np.minimum(np.searchsorted(cdf, u, side="right"), last))
+
+    def test_draws_stay_in_the_alphabet(self):
+        # These sum to 1, but their cumsums end at 1 - 2^-53 and 1 - 2^-52,
+        # at or below the largest uniform: counting every cdf entry would draw
+        # one letter past the alphabet, or a zero-probability letter after it.
+        stuck = np.nextafter(1.0, 0.0)
+        for w in ([9, 18, 1], [6, 23, 1]):
+            q = Distribution(np.array(w) / sum(w))
+            assert np.cumsum(q.probs)[-1] <= stuck
+            assert np.all(build_codebook(q, 4, 0.5, _StuckRng()) == 2)
+            assert np.all(build_codebook(Distribution(np.array(w + [0]) / sum(w)), 4, 0.5, _StuckRng()) == 2)
+        p = Channel(np.array([[9, 18, 1, 0], [6, 23, 1, 0], [1, 1, 0, 0]]) / np.array([[28], [30], [2]]))
+        assert np.array_equal(_transmit(np.array([[0, 1, 2, 1]]), p, _StuckRng()), [[2, 2, 1, 2]])
 
     def test_codebook_draws_follow_searchsorted(self):
         q = Distribution(np.array([0.2, 0.0, 0.5, 0.3]))
@@ -258,6 +284,32 @@ def stacked_codebooks(draw):
     return books, y, q, ny, logp
 
 
+def _weights(size):
+    # Integer weights give exact zeros.
+    return st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+
+
+@st.composite
+def decode_against_reference(draw):
+    """Codebooks (lead..., M, n) with 0-2 leading trial axes, M = 1 to 40,
+    |X| and |Y| of 1-4 letters (16 cells reach numpy's second block of
+    eight) and n up to 300 (uint16 counts), their received words, a Q that
+    may have zero letters (some codewords sit off its support) and, for half
+    the draws, log P with zeros for the ML metric."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    m, n = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 5, 16, 255, 300]))
+    q = np.array(draw(_weights(nx)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    books = rng.integers(0, nx, size=lead + (m, n)).astype(np.uint8)
+    y = rng.integers(0, ny, size=lead + (n,))
+    logp = None
+    if draw(st.booleans()):
+        rows = np.array([draw(_weights(ny)) for _ in range(nx)], dtype=float)
+        logp = guarded_log(rows.T / rows.sum(axis=1), -np.inf)
+    return books, y, Distribution(q / q.sum()), ny, logp
+
+
 class TestDecode:
     @settings(max_examples=150, deadline=None)
     @given(stacked_codebooks())
@@ -273,6 +325,30 @@ class TestDecode:
             top = sorted(metrics, reverse=True) + [-math.inf]
             assert (best, second) == (top[0], top[1])
             assert winner == (int(np.argmax(metrics)) if top[0] > top[1] + TIE_TOL else -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(decode_against_reference())
+    def test_equals_reference_arithmetic(self, case):
+        # The cell-major counts and the plane-wise sums give the bytes of a
+        # bincount and of .sum over C-contiguous matrices.
+        books, y, q, ny, logp = case
+        n = books.shape[-1]
+        counts, nat, _, best, second = decode(books, y, q, ny, logp)
+        ref = reference_counts(books, y, len(q), ny)
+        assert counts.shape == ref.shape and np.array_equal(counts, ref)
+        assert counts.dtype == np.min_scalar_type(n)
+        ref_nat = reference_decode_metric(ref, n, q)
+        assert nat.tobytes() == ref_nat.tobytes()
+        for batch in (counts, ref, ref.astype(float)):
+            assert decode_metric(batch, n, q).tobytes() == ref_nat.tobytes()
+        metrics = ref_nat
+        if logp is not None:
+            metrics = reference_loglik_metric(ref, n, logp)
+            for batch in (counts, ref):
+                assert loglik_metric(batch, n, logp).tobytes() == metrics.tobytes()
+        top = -np.sort(-metrics, axis=-1)
+        assert best.tobytes() == top[..., 0].tobytes()
+        assert second.tobytes() == (top[..., 1] if books.shape[-2] > 1 else np.full(best.shape, -math.inf)).tobytes()
 
 
 class TestThresholdDecide:
@@ -382,6 +458,16 @@ class TestNtsRun:
         res = nts_run(cfg)
         for out in res.trace:
             assert out.q_next.probs[2] == 0.0
+
+    @pytest.mark.parametrize("cap", [2**20, 1], ids=["literal", "sampled"])
+    def test_kept_winner_counts_own_their_data(self, monkeypatch, cap):
+        # nts_run keeps each update's winner counts until the last block, so
+        # they must be a (|Y|, |X|) int64 array of their own, not a view that
+        # holds a whole block's counts.
+        _, updates = record_updates(monkeypatch, self._config(blocks=60, codebook_cap=cap))
+        assert updates
+        for _, _, counts, _, _ in updates:
+            assert counts.flags.owndata and counts.dtype == np.int64 and counts.shape == (2, 2)
 
     def test_update_uses_winner_marginal_type(self):
         res = nts_run(self._config(blocks=80))
