@@ -368,8 +368,8 @@ def _sweep(rates, q, p: Channel, edge_rho: float) -> ExponentSweep:
     the rest are bisected, each on its own (rate, Q row) pair, so an
     element's result does not depend on the rest of the batch."""
     rates = np.asarray(rates, dtype=float).reshape(-1)
-    if np.any(rates < 0):
-        raise ValueError("rate must be non-negative")
+    if not np.all(rates >= 0):  # also refuses NaN
+        raise ValueError(f"rate must be non-negative and not NaN, got {float(rates[~(rates >= 0)][0])!r}")
     rows = np.atleast_2d(q.probs if isinstance(q, Distribution) else np.asarray(q, dtype=float))
     (size,) = np.broadcast_shapes(rates.shape, rows.shape[:1])
     if size == 0:

@@ -749,19 +749,19 @@ def _stabilize_ties(order, keys) -> None:
     order[in_run] = key
 
 
-def competitor_class_table(r, q: Distribution, n: int, metric_channel: Channel | None = None) -> CompetitorClassTable:
+def competitor_class_table(r, q: Distribution, n: int, logp: np.ndarray | None = None) -> CompetitorClassTable:
     """Exact per-class probabilities and metrics for one codeword ~ Q^n given a
     received word with output counts ``r``.
 
     The class probability is a product of per-output multinomials restricted to
-    supp(Q); the metric is D(ToV || TxQ) of the class (or the log-likelihood
-    average when ``metric_channel`` is given, for the ML-decoder variant).
+    supp(Q); the metric is D(ToV || TxQ) of the class, or the ML decoder's
+    log-likelihood average when ``logp[y, x] = log P(y|x)`` is given.
     ``counts`` is held in the narrowest unsigned dtype that holds n.
     """
     r = np.asarray(r, dtype=int)
     supp = q.support
     logq = np.log(q.probs[supp])
-    logch = [None] * r.size if metric_channel is None else guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
+    logch = [None] * r.size if logp is None else logp[:, supp]
     check_class_count(r, supp.size, n)
 
     parts = [_output_part(ry, supp, logq, logq, n, logch[y]) for y, ry in enumerate(r.tolist())]
@@ -843,8 +843,8 @@ def exact_finite_n(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not delta >= 0:  # also refuses NaN; delta = +inf gives no feedback 1
+        raise ValueError(f"delta must be non-negative and not NaN, got {delta!r}")
     m = codebook_size(n, rate)
     if m > EXACT_CODEBOOK_CAP:
         raise ResourceLimitError(f"codebook size {m} exceeds the cap EXACT_CODEBOOK_CAP = {EXACT_CODEBOOK_CAP}")

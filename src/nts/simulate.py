@@ -4,9 +4,7 @@ decoder and the one-bit-feedback input adaptation loop.
 One pure batched function, ``decode``, makes every literal decision: the
 unique argmax of the decode metric over each codebook, from the codebook, its
 received word and Q.  The natural metric never reads the channel matrix; the
-ML decoder (``use_ml_decoder``) does, through log P.  The feedback bit is the
-block's job: from the top two metrics and delta (margin scheme), or from the
-winner's metric, the rate and delta (threshold scheme).
+ML decoder (``use_ml_decoder``) does, through log P.
 
 Codebooks are regenerated fresh every block from the current Q.  When the
 codebook size ceil(e^{nR}) fits ``codebook_cap`` the codebook is materialized
@@ -14,7 +12,9 @@ and decoded literally; beyond the cap the block outcome is sampled from its
 exact distribution instead, using the competitor conditional-type class
 tables (the codewords other than the transmitted one are i.i.d. and
 independent of the received word, so only the top metric order statistics
-matter).
+matter).  Both paths return only their decode; ``_block`` reports it, with
+the feedback bit: from the top two metrics and delta (margin scheme), or
+from the winner's metric, the rate and delta (threshold scheme).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def decode(books: np.ndarray, y: np.ndarray, q: Distribution, ny: int, logp: np.
 
     The decode metric is the natural one, or the ML one (``loglik_metric``)
     when ``logp[y, x] = log P(y|x)`` is given.  Returns the joint type counts
-    (..., M, ny, |X|), the natural metrics (..., M) and, for each codebook,
+    (..., M, ny, |X|), the decode metrics (..., M) and, for each codebook,
     the index of the unique top decode metric (-1 on a tie within TIE_TOL)
     with the top two decode metrics.  A single codeword wins vacuously over a
     runner-up of -inf.  Each codebook's results are those of decoding it
@@ -218,14 +218,16 @@ def decode(books: np.ndarray, y: np.ndarray, q: Distribution, ny: int, logp: np.
     """
     n = books.shape[-1]
     counts = _codeword_counts(books, y, len(q), ny)
-    nat = decode_metric(counts, n, q, received=counts[..., :1, :, :].sum(axis=-1))
-    metrics = nat if logp is None else loglik_metric(counts, n, logp)
+    if logp is None:
+        metrics = decode_metric(counts, n, q, received=counts[..., :1, :, :].sum(axis=-1))
+    else:
+        metrics = loglik_metric(counts, n, logp)
     if metrics.shape[-1] == 1:
         best, second = metrics[..., 0], np.full(metrics.shape[:-1], -math.inf)
-        return counts, nat, np.zeros(metrics.shape[:-1], dtype=np.int64), best, second
+        return counts, metrics, np.zeros(metrics.shape[:-1], dtype=np.int64), best, second
     top2 = np.argpartition(-metrics, 1, axis=-1)[..., :2]  # the larger first
     best, second = np.moveaxis(np.take_along_axis(metrics, top2, axis=-1), -1, 0)
-    return counts, nat, np.where(best > second + TIE_TOL, top2[..., 0], -1), best, second
+    return counts, metrics, np.where(best > second + TIE_TOL, top2[..., 0], -1), best, second
 
 
 def _margin_decide(decoded, winner_metric, runner_up_metric, delta: float):
@@ -281,17 +283,9 @@ def _top_class_is_tied(
     return rng.random() > p_single
 
 
-# Both block paths return the decode of one block as
-# (decoded, correct, winner_metric, runner_up_metric, joint_type, winner_counts):
-# decoded is None on an erasure, where both metrics are the sent word's natural
-# metric and winner_counts is None.  The metrics are natural ones except the
-# runner-up under the ML decoder, which stays in the decode (ML) domain.
-# winner_counts is an int64 (|Y|, |X|) array that owns its data: ``nts_run``
-# keeps it until the last block, and a view would keep a whole block's counts.
-
-
 def _virtual_block(
-    q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict
+    q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict,
+    logp: np.ndarray | None,
 ):
     """Sample the decode of one block without materializing the codebook.
 
@@ -299,67 +293,74 @@ def _virtual_block(
     conditional-type classes given the received word are enumerated exactly
     and the top metric order statistics are drawn by inverse CDF.
     """
-    n, ml = config.n, config.use_ml_decoder
+    n = config.n
     x = _draw_iid(q.probs, n, rng)
     y = _transmit(x, p, rng)
     jt = empirical_joint_type(x, y, p.num_inputs, p.num_outputs)
     r = tuple(int(v) for v in jt.counts.sum(axis=1))
-    b0 = decode_metric(jt.counts, n, q)
-
-    table = table_cache.get((r, ml))
-    if table is None:
-        table = competitor_class_table(np.asarray(r), q, n, metric_channel=p if ml else None)
-        table_cache[(r, ml)] = table
-    competitors = m - 1
     # Classes are ordered by the decode metric, so the sent word competes with
-    # its own decode metric (ML under the ML decoder).
-    b0_decode = float(loglik_metric(jt.counts, n, guarded_log(p.matrix.T, -np.inf))) if ml else b0
+    # its own decode metric.
+    b0 = decode_metric(jt.counts, n, q) if logp is None else float(loglik_metric(jt.counts, n, logp))
 
+    table = table_cache.get(r)
+    if table is None:
+        table = table_cache[r] = competitor_class_table(np.asarray(r), q, n, logp=logp)
+    competitors = m - 1
     jstar = _sample_max_class(table, competitors, rng)
     sent_index = int(rng.integers(0, min(m, 2**62)))
-    erasure = (None, False, b0, b0, jt, None)
-    if jstar is None:
-        return sent_index, True, b0, -math.inf, jt, jt.counts
-    bmax = float(table.metrics[jstar])
-    if b0_decode > bmax + TIE_TOL:
-        return sent_index, True, b0, bmax, jt, jt.counts
-    if not bmax > b0_decode + TIE_TOL or _top_class_is_tied(table, competitors, jstar, rng):
+    erasure = (None, False, jt, None, b0, b0)
+    bmax = -math.inf if jstar is None else float(table.metrics[jstar])  # None at m = 1: b0 (finite) wins
+    if b0 > bmax + TIE_TOL:
+        return sent_index, True, jt, jt.counts, b0, bmax
+    if not bmax > b0 + TIE_TOL or _top_class_is_tied(table, competitors, jstar, rng):
         return erasure
     jsecond = _sample_max_class(table, competitors - 1, rng, start=jstar + 1)
     second_best = table.metrics[jsecond] if jsecond is not None else -math.inf
-    runner_decode = max(b0_decode, float(second_best))
-    if not bmax > runner_decode + TIE_TOL:
+    runner_up = max(b0, float(second_best))
+    if not bmax > runner_up + TIE_TOL:
         return erasure
-    winner_counts = table.counts[jstar].astype(np.int64)
-    winner_metric = float(decode_metric(winner_counts, n, q)) if ml else bmax
-    return (sent_index + 1) % max(m, 2), False, winner_metric, runner_decode, jt, winner_counts
+    return (sent_index + 1) % max(m, 2), False, jt, table.counts[jstar].astype(np.int64), bmax, runner_up
 
 
-def _literal_block(q: Distribution, p: Channel, rng: np.random.Generator, config: SimConfig):
+def _literal_block(q: Distribution, p: Channel, rng: np.random.Generator, config: SimConfig, logp: np.ndarray | None):
     """Decode one block over a materialized fresh codebook."""
-    nx, ny, n = p.num_inputs, p.num_outputs, config.n
+    n = config.n
     codebook = build_codebook(q, n, config.rate, rng, config.codebook_cap)
     sent = int(rng.integers(0, codebook.shape[0]))
     y = _transmit(codebook[sent], p, rng)
-    jt = empirical_joint_type(codebook[sent], y, nx, ny)
-    logp = guarded_log(p.matrix.T, -np.inf) if config.use_ml_decoder else None
-    counts, nat, winner, _, runner_up = decode(codebook, y, q, ny, logp)
+    counts, metrics, winner, best, second = decode(codebook, y, q, p.num_outputs, logp)
+    jt = TypeWithDenominator(counts[sent].astype(np.int64), n)
     winner = int(winner)
     if winner < 0:
-        return None, False, float(nat[sent]), float(nat[sent]), jt, None
-    return winner, winner == sent, float(nat[winner]), float(runner_up), jt, counts[winner].astype(np.int64)
+        return None, False, jt, None, float(metrics[sent]), float(metrics[sent])
+    return winner, winner == sent, jt, counts[winner].astype(np.int64), float(best), float(second)
 
 
 def _block(q: Distribution, p: Channel, m: int, rng: np.random.Generator, config: SimConfig, table_cache: dict):
     """One block at codebook distribution q with m codewords: the literal
-    decode when m fits ``config.codebook_cap``, the sampled one beyond it, then
-    the feedback bit of ``config.scheme``.  Returns the outcome (with
-    ``q_next = q``) and the winner's joint type counts (None on an erasure)."""
+    decode when m fits ``config.codebook_cap``, the sampled one beyond it (with
+    the class tables of (q, p) in ``table_cache``, by received type), then the
+    feedback bit of ``config.scheme``.  Returns the outcome (with ``q_next =
+    q``) and the winner's joint type counts (None on an erasure).
+
+    Both paths decode with one ``logp[y, x] = log P(y|x)`` (None under the
+    natural decoder) and return (decoded, correct, the sent word's joint type,
+    the winner's int64 (|Y|, |X|) counts, winner and runner-up metrics in the
+    decode domain); on an erasure decoded and the counts are None and both
+    metrics are the sent word's.  The counts own their data: ``nts_run`` keeps
+    them to the last block.  The outcome reports natural metrics (scored here
+    under the ML decoder, whose runner-up stays in the ML domain)."""
+    logp = guarded_log(p.matrix.T, -np.inf) if config.use_ml_decoder else None
     if m <= config.codebook_cap:
-        decode = _literal_block(q, p, rng, config)
+        out = _literal_block(q, p, rng, config, logp)
     else:
-        decode = _virtual_block(q, p, m, rng, config, table_cache)
-    decoded, correct, winner_metric, runner_up, jt, winner_counts = decode
+        out = _virtual_block(q, p, m, rng, config, table_cache, logp)
+    decoded, correct, jt, winner_counts, winner_metric, runner_up = out
+    if logp is not None:
+        if decoded is None:
+            winner_metric = runner_up = decode_metric(jt.counts, config.n, q)
+        else:
+            winner_metric = decode_metric(winner_counts, config.n, q)
     if config.scheme is Scheme.THRESHOLD:
         feedback = int(decoded is not None and threshold_decide(winner_metric, config.rate, config.delta))
     else:
@@ -395,13 +396,8 @@ def _check_caps(config: SimConfig, m: int) -> None:
 
 
 def _channel_at(schedule: tuple, block: int) -> Channel:
-    current = schedule[0][1]
-    for idx, ch in schedule:
-        if idx <= block:
-            current = ch
-        else:
-            break
-    return current
+    """The channel of the last schedule entry at or before ``block``."""
+    return next(ch for idx, ch in reversed(schedule) if idx <= block)
 
 
 def nts_run(config: SimConfig) -> SimResult:
@@ -416,18 +412,13 @@ def nts_run(config: SimConfig) -> SimResult:
     _check_caps(config, m)
     trace = []
     updates = []
-    errors = 0
-    table_cache: dict = {}
-    cache_q = q
+    cache_q = cache_p = None
 
     for block in range(config.blocks):
         p = _channel_at(config.channel_schedule, block)
-        if q is not cache_q:
-            table_cache.clear()
-            cache_q = q
+        if q is not cache_q or p is not cache_p:  # class tables hold for one (Q, channel)
+            table_cache, cache_q, cache_p = {}, q, p
         outcome, winner_counts = _block(q, p, m, rng, config, table_cache)
-        if not outcome.correct:
-            errors += 1
         if outcome.feedback == 1:
             updates.append((block, not outcome.correct, winner_counts, q, p))
             q = Distribution(winner_counts.sum(axis=0) / config.n)
@@ -438,7 +429,7 @@ def nts_run(config: SimConfig) -> SimResult:
     summary = RunSummary(
         blocks=config.blocks,
         feedback_rate=len(updates) / blocks,
-        error_rate=errors / blocks,
+        error_rate=sum(not out.correct for out in trace) / blocks,
         updates=len(updates),
         desync_blocks=tuple(block for block, desync, *_ in updates if desync),
         update_stats=_update_stats(updates, config),

@@ -249,6 +249,39 @@ class TestCorrectExponents:
         assert res.r_plus == pytest.approx(fam.r_plus)
 
 
+BAD_RATES = pytest.mark.parametrize("rate", [-0.1, math.nan], ids=["negative", "nan"])
+
+
+class TestBadRateRefused:
+    """A negative or NaN rate raises a ValueError that names the rate,
+    instead of returning a value computed from it."""
+
+    @BAD_RATES
+    def test_error_exponent(self, rate):
+        with pytest.raises(ValueError, match="^rate must be non-negative"):
+            error_exponent(rate, UNIF, BSC)
+
+    @BAD_RATES
+    def test_correct_exponent_ml(self, rate):
+        with pytest.raises(ValueError, match="^rate must be non-negative"):
+            correct_exponent_ml(rate, UNIF, BSC)
+
+    @BAD_RATES
+    def test_correct_exponent_strict(self, rate):
+        with pytest.raises(ValueError, match="^rate must be non-negative"):
+            correct_exponent_strict(rate, UNIF, BSC)
+
+    @BAD_RATES
+    def test_error_exponent_sweep(self, rate):
+        with pytest.raises(ValueError, match="^rate must be non-negative"):
+            error_exponent_sweep([0.1, rate], UNIF, BSC)
+
+    @BAD_RATES
+    def test_correct_exponent_ml_sweep(self, rate):
+        with pytest.raises(ValueError, match="^rate must be non-negative"):
+            correct_exponent_ml_sweep([0.1, rate], UNIF, BSC)
+
+
 class TestCapacity:
     def test_identity(self):
         assert capacity(Channel(np.eye(2))) == pytest.approx(math.log(2), abs=1e-9)

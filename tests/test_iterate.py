@@ -204,6 +204,12 @@ class TestCheckLowerThan:
         assert rep.rhs <= rep.lhs * (1 + 1e-9)
 
 
+    @pytest.mark.parametrize("rate", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_bad_rate_refused(self, rate):
+        with pytest.raises(ValueError, match="^rate must be non-negative"):
+            check_lower_than(UNIF, rate, BSC)
+
+
 class TestFixedSlope:
     def test_stationary_point_is_fixed(self):
         rec = fixed_slope_step(UNIF, -0.5, BSC)
@@ -267,6 +273,43 @@ class TestFixedSlope:
         run = fixed_slope_run(q0, -0.5, p, tol=1e-11)
         for rec in run.records:
             assert rec.q_after.probs[2] == 0.0
+
+
+T3 = Channel(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.15, 0.15, 0.7]]))
+
+
+class TestTwoAlgorithmsAgree:
+    """The fixed-rate and the fixed-slope algorithm reach one optimum.
+
+    E0(rho, .) is convex in Q for rho in (-1, 0) and E0(., Q) - rho R is
+    concave in rho, so by minimax min_Q E_c^ML(R, Q) = max_rho [min_Q
+    E0(rho, Q) - rho R].  The cases have an interior maximizer rho*, which
+    ``fixed_slope_run`` can reach."""
+
+    @pytest.mark.parametrize(
+        "p, q0, over",
+        [
+            (ASYM, Distribution(np.array([0.35, 0.65])), 1.3),
+            (BSC, Distribution(np.array([0.9, 0.1])), 1.3),
+            (BSC, Distribution(np.array([0.9, 0.1])), 1.6),
+            (T3, Distribution.uniform(3), 1.3),
+            (T3, Distribution.uniform(3), 1.6),
+        ],
+        ids=["asym_2x3_1.3C", "bsc_1.3C", "bsc_1.6C", "ternary_1.3C", "ternary_1.6C"],
+    )
+    def test_min_over_q_equals_max_over_rho(self, p, q0, over):
+        from scipy.optimize import minimize_scalar
+
+        rate = over * capacity(p)
+        by_rate = fixed_rate_run(q0, rate, p, tol=1e-12).final_exponent
+        by_slope = minimize_scalar(
+            lambda rho: rho * rate - fixed_slope_run(q0, rho, p, tol=1e-13).final_objective,
+            bounds=(-1.0, 0.0),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert -1.0 + 1e-6 < by_slope.x < -1e-6
+        assert abs(by_rate + by_slope.fun) <= 1e-12
 
 
 class TestStationarityResidual:

@@ -343,6 +343,11 @@ class TestExactFiniteN:
             exact_finite_n(4, 6.0, 0.0, UNIF, BSC)
 
 
+    @pytest.mark.parametrize("delta", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_bad_delta_refused(self, delta):
+        with pytest.raises(ValueError, match="^delta must be non-negative"):
+            exact_finite_n(6, 0.2, delta, UNIF, BSC)
+
     def test_blocklength_below_one_is_rejected(self):
         for n in (0, -3):
             with pytest.raises(ValueError):
@@ -472,7 +477,7 @@ class TestCompetitorTable:
             )
 
 
-def reference_class_table(r, q, n, metric_channel=None):
+def reference_class_table(r, q, n, logp=None):
     """(metrics, log_probs, suffix_logsum, counts) of the competitor class
     table, built with one ``unravel_index`` gather per output into zeroed
     sums, and counts filled output by output into a zeroed int64 block."""
@@ -481,19 +486,18 @@ def reference_class_table(r, q, n, metric_channel=None):
     per_output = []
     for y, ry in enumerate(r):
         comps = compositions_array(ry, supp.size)
-        logp = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logq
-        if metric_channel is None:
+        log_w = gammaln(ry + 1) - gammaln(comps + 1).sum(axis=1) + comps @ logq
+        if logp is None:
             met = _output_metrics(comps, ry, logq, n)
         else:
-            logch = guarded_log(metric_channel.matrix.T, -np.inf)[:, supp]
-            met = loglik_metric(comps[:, None, :], n, logch[y : y + 1])
-        per_output.append((comps, logp, met))
+            met = loglik_metric(comps[:, None, :], n, logp[y : y + 1, supp])
+        per_output.append((comps, log_w, met))
     sizes = tuple(comps.shape[0] for comps, _, _ in per_output)
     idx = np.unravel_index(np.arange(math.prod(sizes)), sizes)
     logp_all = np.zeros(idx[0].size)
     metric_all = np.zeros(idx[0].size)
-    for y, (_, logp, met) in enumerate(per_output):
-        logp_all += logp[idx[y]]
+    for y, (_, log_w, met) in enumerate(per_output):
+        logp_all += log_w[idx[y]]
         metric_all += met[idx[y]]
     order = np.argsort(-metric_all, kind="stable")
     log_probs = logp_all[order]
@@ -513,25 +517,25 @@ def _weights(size):
 @st.composite
 def class_table_case(draw):
     """Output counts r (1-3 outputs), a Q over 1-3 letters that may have zero
-    letters, and, for the ML variant, a metric channel that may have zeros."""
+    letters, and, for the ML variant, log P of a channel that may have zeros."""
     nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     q = np.array(draw(_weights(nx)), dtype=float)
     r = draw(st.lists(st.integers(0, 9), min_size=ny, max_size=ny).filter(any))
-    channel = None
+    logp = None
     if draw(st.booleans()):
         rows = np.array([draw(_weights(ny)) for _ in range(nx)], dtype=float)
-        channel = Channel(rows / rows.sum(axis=1, keepdims=True))
-    return r, Distribution(q / q.sum()), channel
+        logp = guarded_log(Channel(rows / rows.sum(axis=1, keepdims=True)).matrix.T, -np.inf)
+    return r, Distribution(q / q.sum()), logp
 
 
 class TestCompetitorTableKernel:
     @settings(max_examples=150, deadline=None)
     @given(class_table_case())
     def test_equals_reference_build(self, case):
-        r, q, channel = case
+        r, q, logp = case
         n = sum(r)
-        table = competitor_class_table(np.array(r), q, n, metric_channel=channel)
-        metrics, log_probs, suffix, counts = reference_class_table(r, q, n, channel)
+        table = competitor_class_table(np.array(r), q, n, logp=logp)
+        metrics, log_probs, suffix, counts = reference_class_table(r, q, n, logp)
         assert table.metrics.tobytes() == metrics.tobytes()
         assert table.log_probs.tobytes() == log_probs.tobytes()
         assert table.suffix_logsum.tobytes() == suffix.tobytes()

@@ -257,13 +257,15 @@ class TestNaturalDecode:
 
     def test_decoder_never_reads_channel(self):
         # The counts and natural metrics are those of (codebook, y, Q) alone:
-        # an ML metric changes only the decision.
+        # an ML metric changes only the metrics scored, through log P.
         codebook = np.array([[0, 1, 1], [1, 0, 0]])
         y = np.array([0, 1, 0])
+        logp = np.log(P2.matrix.T)
         counts, nat = decode(codebook, y, Q34, 2)[:2]
-        counts_ml, nat_ml = decode(codebook, y, Q34, 2, np.log(P2.matrix.T))[:2]
-        assert np.array_equal(counts, counts_ml) and np.array_equal(nat, nat_ml)
+        counts_ml, ml = decode(codebook, y, Q34, 2, logp)[:2]
+        assert np.array_equal(counts, counts_ml)
         assert list(nat) == [decode_metric(c, 3, Q34) for c in counts]
+        assert list(ml) == [loglik_metric(c, 3, logp) for c in counts]
 
 
 @st.composite
@@ -317,11 +319,12 @@ class TestDecode:
         books, y, q, ny, logp = case
         stacked = decode(books, y, q, ny, logp)
         for i in range(books.shape[0]):
-            counts, nat, winner, best, second = alone = decode(books[i], y[i], q, ny, logp)
+            counts, metrics, winner, best, second = alone = decode(books[i], y[i], q, ny, logp)
             for whole, part in zip(stacked, alone):
                 assert np.array_equal(whole[i], part)
             n = books.shape[-1]
-            metrics = nat if logp is None else loglik_metric(counts, n, logp)
+            expected = decode_metric(counts, n, q) if logp is None else loglik_metric(counts, n, logp)
+            assert np.array_equal(metrics, expected)
             top = sorted(metrics, reverse=True) + [-math.inf]
             assert (best, second) == (top[0], top[1])
             assert winner == (int(np.argmax(metrics)) if top[0] > top[1] + TIE_TOL else -1)
@@ -333,12 +336,11 @@ class TestDecode:
         # bincount and of .sum over C-contiguous matrices.
         books, y, q, ny, logp = case
         n = books.shape[-1]
-        counts, nat, _, best, second = decode(books, y, q, ny, logp)
+        counts, returned, _, best, second = decode(books, y, q, ny, logp)
         ref = reference_counts(books, y, len(q), ny)
         assert counts.shape == ref.shape and np.array_equal(counts, ref)
         assert counts.dtype == np.min_scalar_type(n)
         ref_nat = reference_decode_metric(ref, n, q)
-        assert nat.tobytes() == ref_nat.tobytes()
         for batch in (counts, ref, ref.astype(float)):
             assert decode_metric(batch, n, q).tobytes() == ref_nat.tobytes()
         metrics = ref_nat
@@ -346,6 +348,7 @@ class TestDecode:
             metrics = reference_loglik_metric(ref, n, logp)
             for batch in (counts, ref):
                 assert loglik_metric(batch, n, logp).tobytes() == metrics.tobytes()
+        assert returned.tobytes() == metrics.tobytes()
         top = -np.sort(-metrics, axis=-1)
         assert best.tobytes() == top[..., 0].tobytes()
         assert second.tobytes() == (top[..., 1] if books.shape[-2] > 1 else np.full(best.shape, -math.inf)).tobytes()
@@ -488,6 +491,44 @@ class TestNtsRun:
         cfg = self._config(blocks=10, channel_schedule=((0, BSC), (5, flip)))
         res = nts_run(cfg)
         assert len(res.trace) == 10
+
+    def test_class_tables_follow_the_channel(self, monkeypatch):
+        # ML class tables depend on the channel.  With delta = +inf Q never
+        # changes, so after the switch at block 20 every sampled block must
+        # still read tables built from its own channel's log P.
+        first = Channel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        second = Channel(np.array([[0.6, 0.4], [0.05, 0.95]]))
+        built, reads, blocks = {}, [], []
+        build, block, sample = (
+            nts.simulate.competitor_class_table, nts.simulate._virtual_block, nts.simulate._sample_max_class
+        )
+
+        def build_spy(r, q, n, logp=None):
+            table = build(r, q, n, logp=logp)
+            built[id(table)] = (table, logp)
+            return table
+
+        def block_spy(q, p, *args):
+            blocks.append(p)
+            return block(q, p, *args)
+
+        def sample_spy(table, *args, **kwargs):
+            reads.append((blocks[-1], built[id(table)][1]))
+            return sample(table, *args, **kwargs)
+
+        monkeypatch.setattr(nts.simulate, "competitor_class_table", build_spy)
+        monkeypatch.setattr(nts.simulate, "_virtual_block", block_spy)
+        monkeypatch.setattr(nts.simulate, "_sample_max_class", sample_spy)
+        config = self._config(
+            n=6, rate=0.3, delta=math.inf, blocks=40, q0=Distribution(np.array([0.7, 0.3])), seed=1,
+            channel_schedule=((0, first), (20, second)), scheme=Scheme.THRESHOLD, codebook_cap=1,
+            use_ml_decoder=True,
+        )
+        nts_run(config)
+        assert blocks == [first] * 20 + [second] * 20
+        assert {id(p) for p, _ in reads} == {id(first), id(second)}
+        for p, logp in reads:
+            assert np.array_equal(logp, guarded_log(p.matrix.T, -np.inf))
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
