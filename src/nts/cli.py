@@ -341,8 +341,10 @@ def _exact_json(report: ExactFiniteNReport) -> str:
     with one object per type in ``per_type_breakdown``.
 
     The per-type objects come from one %-template, laid out by ``json`` itself
-    for the report's (|Y|, |X|) shape; ``%d`` and ``%r`` format ints and
-    finite floats as ``json`` does (``int.__repr__``, ``float.__repr__``).
+    for the report's (|Y|, |X|) shape and filled with ``%s``: the counts as
+    ints, the finite floats as their ``float.__repr__``, as ``json`` writes
+    both.  Each distinct float is formatted once, found by its bit pattern,
+    so that -0.0 keeps its sign.
     """
     table = report.per_type_breakdown
     header = json.dumps(
@@ -360,15 +362,17 @@ def _exact_json(report: ExactFiniteNReport) -> str:
     ny, nx = table.counts.shape[1:]
     # Keys sort as: counts, p_correct_strict, p_fail_strict, p_feedback1,
     # probability; "per_type_breakdown" is the header's last key.
-    sample = {"counts": [["%d"] * nx] * ny}
-    sample.update(dict.fromkeys(("p_correct_strict", "p_fail_strict", "p_feedback1", "probability"), "%r"))
-    layout = json.dumps(sample, indent=2, sort_keys=True).replace('"%d"', "%d").replace('"%r"', "%r")
+    sample = {"counts": [["%s"] * nx] * ny}
+    sample.update(dict.fromkeys(("p_correct_strict", "p_fail_strict", "p_feedback1", "probability"), "%s"))
+    layout = json.dumps(sample, indent=2, sort_keys=True).replace('"%s"', "%s")
     template = "\n".join("    " + line for line in layout.splitlines())
-    columns = (table.p_correct_strict, table.p_fail_strict, table.p_feedback1, table.probability)
-    # One row of Python ints and floats per type, formatted by one %.
-    cells = np.empty((len(table), nx * ny + len(columns)), dtype=object)
+    floats = np.column_stack((table.p_correct_strict, table.p_fail_strict, table.p_feedback1, table.probability))
+    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    # One row of Python ints and float reprs per type, formatted by one %.
+    cells = np.empty((len(table), nx * ny + floats.shape[1]), dtype=object)
     cells[:, : nx * ny] = table.counts.reshape(len(table), -1)
-    cells[:, nx * ny :] = np.column_stack(columns)
+    cells[:, nx * ny :] = reprs[where.reshape(floats.shape)]
     rows = ",\n".join([template] * len(table)) % tuple(cells.ravel().tolist())
     return header[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
 

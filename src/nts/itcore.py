@@ -251,7 +251,10 @@ def compositions_array(total: int, parts: int) -> np.ndarray:
 def codebook_size(n: int, rate: float) -> int:
     """Codebook size ceil(e^{n*rate}), snapping rates of the form log(m)/n to m.
 
-    Raises ``ResourceLimitError`` when e^{n*rate} is beyond the float range."""
+    Raises ``ValueError`` on a negative or NaN rate, and ``ResourceLimitError``
+    when e^{n*rate} is beyond the float range."""
+    if not rate >= 0:  # also refuses NaN
+        raise ValueError(f"rate must be non-negative and not NaN, got {rate!r}")
     try:
         log_m = n * rate
     except OverflowError:

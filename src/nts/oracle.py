@@ -252,25 +252,38 @@ def _golden_min(fun, lo: np.ndarray, hi: np.ndarray):
     return np.array([t for t, _ in best]), np.array([ft for _, ft in best])
 
 
-def _pgd_on_simplex(fg, x0: np.ndarray, project=project_simplex):
+def _pgd_on_simplex(fg, values, x0: np.ndarray, project=project_simplex):
     """Projected (sub)gradient descent with backtracking on the simplex, or
-    on the set that ``project`` projects onto."""
+    on the set that ``project`` projects onto.
+
+    ``fg`` gives (value, subgradient) at one point, ``values`` the values of a
+    batch of points (K, size).  Each step tries the full step with ``fg``;
+    when it is refused, every halving of it down to the 1e-13 floor is
+    projected and scored in one call of ``values``, and ``fg`` runs only at
+    the first that improves.  Row k of ``values`` must equal ``fg``'s value at
+    point k, and ``project`` must project each row of a batch as it projects
+    one point: the steps taken are then those of one halving at a time."""
     x = x0.copy()
     fx, g = fg(x)
     step = 0.5
     for _ in range(400):
-        improved = False
-        while step > 1e-13:
-            cand = project(x - step * g)
-            fc, gc = fg(cand)
-            if fc < fx - 1e-15:
-                x, fx, g = cand, fc, gc
-                step = min(step * 1.5, 4.0)
-                improved = True
+        cand = project(x - step * g)
+        fc, gc = fg(cand)
+        if not fc < fx - 1e-15:
+            steps = []
+            while step * 0.5 > 1e-13:
+                step *= 0.5
+                steps.append(step)
+            if not steps:
                 break
-            step *= 0.5
-        if not improved:
-            break
+            cands = project(x - np.array(steps)[:, None] * g)
+            better = np.flatnonzero(values(cands) < fx - 1e-15)
+            if better.size == 0:
+                break
+            step, cand = steps[better[0]], cands[better[0]]
+            fc, gc = fg(cand)
+        x, fx, g = cand, fc, gc
+        step = min(step * 1.5, 4.0)
     return x, fx
 
 
@@ -356,8 +369,9 @@ class Sweep:
         return (rows - rows.sum(axis=1, keepdims=True) / self.row_len).ravel()
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Each row of ``v`` projected on its simplex."""
-        return project_simplex(v.reshape(-1, self.row_len)).ravel()
+        """Each row of a point ``v`` (size,), or of each point of a batch (K,
+        size), projected on its simplex."""
+        return project_simplex(v.reshape(-1, self.row_len)).reshape(v.shape)
 
     def argmin(self, kind: ImplicitKind, rate: float):
         """The grid point of least objective, or None when none is finite."""
@@ -537,10 +551,10 @@ def _polish(obj: _Objective, x0: np.ndarray):
     """Alternate projected-gradient and coordinate-descent rounds until a full
     cycle stops improving."""
     sweep = obj.sweep
-    x, fx = _pgd_on_simplex(obj.fg, x0, sweep.project)
+    x, fx = _pgd_on_simplex(obj.fg, obj.values, x0, sweep.project)
     for _ in range(6):
         x, _ = _refine_rows(obj.values, x, sweep.row_len, sweep.bracket)
-        x, f_pgd = _pgd_on_simplex(obj.fg, x, sweep.project)
+        x, f_pgd = _pgd_on_simplex(obj.fg, obj.values, x, sweep.project)
         if fx - f_pgd < 1e-12:
             fx = min(fx, f_pgd)
             break
@@ -552,31 +566,45 @@ def _refine_rows(values, x0: np.ndarray, row_len: int, bracket: float):
     """Cyclic coordinate descent over a stack of simplex rows: per coordinate,
     line-minimize over [-bracket, bracket] with per-row projection; stops
     when a full sweep moves less than 1e-8, or after 40 sweeps.  ``values``
-    maps a batch of points to their objective values."""
+    maps a batch of points (K, size) to their objective values.
+
+    The line searches of every coordinate still ahead in the sweep run from
+    the current point in one lockstep ``_golden_min``; the first that
+    improves is applied, and the sweep goes on from the next coordinate.  A
+    search that does not improve leaves the point as it was, so when row k of
+    ``values`` equals the value of point k alone, the sweep takes the steps of
+    one coordinate at a time, bit for bit."""
     x = x0.copy()
     fx = float(values(x[None])[0])
     nrows = x.size // row_len
     for _ in range(40):
         moved = 0.0
         f_start = fx
-        for r in range(nrows):
-            sl = slice(r * row_len, (r + 1) * row_len)
-            for i in range(row_len):
-                def along(ts, sl=sl, i=i):  # ts (1, k): one bracket's points
-                    rows = np.repeat(x[None, sl], ts.size, axis=0)
-                    rows[:, i] += ts[0]
-                    cand = np.repeat(x[None], ts.size, axis=0)
-                    cand[:, sl] = project_simplex(rows)
-                    return values(cand)[None]
+        start = 0
+        while start < x.size:
+            r, i = np.divmod(np.arange(start, x.size), row_len)
 
-                t, ft = (float(v[0]) for v in _golden_min(along, np.array([-bracket]), np.array([bracket])))
-                if ft < fx:
-                    row = x[sl].copy()
-                    row[i] += t
-                    row = project_simplex(row)
-                    moved = max(moved, float(np.abs(row - x[sl]).sum()))
-                    x[sl] = row
-                    fx = ft
+            def along(ts):  # ts (B, k): bracket b's points on coordinate start + b
+                b, k = ts.shape
+                rows = np.repeat(x.reshape(nrows, row_len)[r, None], k, axis=1)
+                rows[np.arange(b), :, i] += ts
+                cand = np.repeat(x[None], b * k, axis=0).reshape(b, k, nrows, row_len)
+                cand[np.arange(b), :, r] = project_simplex(rows.reshape(-1, row_len)).reshape(b, k, row_len)
+                return values(cand.reshape(b * k, -1)).reshape(b, k)
+
+            ts, fts = _golden_min(along, np.full(r.size, -bracket), np.full(r.size, bracket))
+            better = np.flatnonzero(fts < fx)
+            if better.size == 0:
+                break
+            j = better[0]
+            sl = slice(r[j] * row_len, (r[j] + 1) * row_len)
+            row = x[sl].copy()
+            row[i[j]] += float(ts[j])
+            row = project_simplex(row)
+            moved = max(moved, float(np.abs(row - x[sl]).sum()))
+            x[sl] = row
+            fx = float(fts[j])
+            start += j + 1
         if moved < 1e-8 and f_start - fx < 1e-12:
             break
     return x, fx
@@ -889,6 +917,9 @@ def exact_finite_n(
         p_f1 = _accumulate(p_f1, probs * p_f1_given)
         blocks.append((counts, probs, p_fail_given, p_corr_given, p_f1_given))
 
+    # Each total is a probability summed over the types; roundoff can carry
+    # it past 1 (one codeword on BSC(0.1) reached 1 + 9e-16 at n = 11).
+    p_error, p_correct, p_f1 = (min(max(total, 0.0), 1.0) for total in (p_error, p_correct, p_f1))
     return ExactFiniteNReport(
         n=n,
         m=m,
@@ -1026,7 +1057,11 @@ def _minimize_over_support(obj: _SupportObjective, support: tuple) -> float:
             return math.inf, None
         return float(value[0]), obj.gradients(q, rho)[0, cols]
 
-    return _pgd_on_simplex(fg, np.full(len(support), 1.0 / len(support)))[1]
+    def values(x):
+        value, rho = obj.values_and_rhos(_on_support(support, x, nx))
+        return np.where((rho == -1.0) & ~x.all(axis=1), np.inf, value)
+
+    return _pgd_on_simplex(fg, values, np.full(len(support), 1.0 / len(support)))[1]
 
 
 def min_over_small_supports(rate: float, p: Channel):

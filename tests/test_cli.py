@@ -21,7 +21,7 @@ from nts.exponents import (
     tilted_joint,
 )
 from nts.itcore import Channel, Distribution
-from nts.oracle import exact_finite_n
+from nts.oracle import ExactFiniteNReport, TypeEventTable, exact_finite_n
 
 
 def write_config(path, **overrides):
@@ -371,12 +371,10 @@ EXACT_JSON_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case,n,rate,delta", EXACT_JSON_CASES)
-def test_exact_json_matches_json_dump(tmp_path, case, n, rate, delta):
-    rows, q0 = EQUIVALENCE_CASES[case]
-    report = exact_finite_n(n, rate, delta, Distribution(np.array(q0)), Channel(np.array(rows)))
+def _exact_obj(report):
+    """The report as the plain dict that ``exact.json`` holds."""
     table = report.per_type_breakdown
-    obj = {
+    return {
         "n": report.n,
         "m": report.m,
         "p_error": report.p_error,
@@ -393,15 +391,35 @@ def test_exact_json_matches_json_dump(tmp_path, case, n, rate, delta):
             for k in range(len(table))
         ],
     }
-    assert _exact_json(report) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("case,n,rate,delta", EXACT_JSON_CASES)
+def test_exact_json_matches_json_dump(tmp_path, case, n, rate, delta):
+    rows, q0 = EQUIVALENCE_CASES[case]
+    report = exact_finite_n(n, rate, delta, Distribution(np.array(q0)), Channel(np.array(rows)))
+    assert _exact_json(report) == json.dumps(_exact_obj(report), indent=2, sort_keys=True)
     if delta < math.inf:  # a config cannot hold an infinite delta
         cfg = write_config(tmp_path / "c.json", channel={"rows": rows}, q0=q0, n=n, rate=rate, delta=delta)
         out = tmp_path / "out"
         assert run_command(["exact", "--config", cfg, "--out-dir", str(out)]) == 0
         with open(tmp_path / "reference.json", "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
+            json.dump(_exact_obj(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert (out / "exact.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_exact_json_keeps_signed_zeros_apart():
+    # Each distinct float is formatted once: 0.0 and -0.0 compare equal but
+    # must keep their own text, as must repeats, 1.0 and a subnormal.
+    table = TypeEventTable(
+        counts=np.arange(5 * 2 * 3).reshape(5, 2, 3),
+        probability=np.array([0.0, -0.0, 5e-324, 0.25, 0.25]),
+        p_fail_strict=np.array([-0.0, 0.0, 1.0, 0.0, -0.0]),
+        p_correct_strict=np.array([1.0, 1.0, 0.1, 5e-324, 0.25]),
+        p_feedback1=np.array([-0.0, -0.0, 0.0, 0.1, 1.0]),
+    )
+    report = ExactFiniteNReport(n=5, m=2, p_error=-0.0, p_correct_strict=1.0, p_feedback1=5e-324, per_type_breakdown=table)
+    assert _exact_json(report) == json.dumps(_exact_obj(report), indent=2, sort_keys=True)
 
 
 class TestOtherCommands:

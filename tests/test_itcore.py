@@ -159,6 +159,11 @@ def test_compositions_array_equals_iter(total, parts):
 
 
 class TestCodebookSize:
+    @pytest.mark.parametrize("rate", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_bad_rate_refused(self, rate):
+        with pytest.raises(ValueError, match=f"^rate must be non-negative and not NaN, got {rate!r}$"):
+            codebook_size(6, rate)
+
     def test_snaps_log_integer_rates(self):
         assert codebook_size(2, math.log(3) / 2) == 3
         assert codebook_size(6, math.log(3) / 6) == 3

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from compositions_reference import compositions_iter
+from descent_reference import reference_pgd, reference_refine_rows
 from nts.itcore import (
     Channel,
     Distribution,
@@ -39,6 +40,8 @@ from nts.oracle import (
     _minimize_over_support,
     _on_support,
     _output_metrics,
+    _pgd_on_simplex,
+    _refine_rows,
     cc_bound,
     competitor_class_table,
     conditional_sweep,
@@ -311,11 +314,13 @@ class TestExactFiniteN:
             assert rep.p_error + rep.p_correct_strict == pytest.approx(1.0, abs=1e-12)
 
     def test_single_codeword(self):
-        rep = exact_finite_n(3, 0.0, 0.0, UNIF, BSC)
-        assert rep.m == 1
-        assert rep.p_correct_strict == 1.0
-        assert rep.p_error == 0.0
-        assert rep.p_feedback1 == 1.0
+        # At n = 4 and 11 the summed type probabilities round to above 1.
+        for n in (3, 4, 11):
+            rep = exact_finite_n(n, 0.0, 0.0, UNIF, BSC)
+            assert rep.m == 1
+            assert rep.p_correct_strict == 1.0
+            assert rep.p_error == 0.0
+            assert rep.p_feedback1 == 1.0
 
     def test_delta_inf_sentinel(self):
         rep = exact_finite_n(3, 0.0, math.inf, UNIF, BSC)
@@ -347,6 +352,10 @@ class TestExactFiniteN:
     def test_bad_delta_refused(self, delta):
         with pytest.raises(ValueError, match="^delta must be non-negative"):
             exact_finite_n(6, 0.2, delta, UNIF, BSC)
+
+    def test_bad_rate_refused(self):
+        with pytest.raises(ValueError, match="^rate must be non-negative and not NaN, got -0.1$"):
+            exact_finite_n(6, -0.1, 0.1, UNIF, BSC)
 
     def test_blocklength_below_one_is_rejected(self):
         for n in (0, -3):
@@ -766,6 +775,17 @@ class TestPairZoom:
         _minimize_over_pairs(obj, [(0, 1), (0, 2), (1, 2)])
         assert batches == [3 * 24, 3 * 2] + [3 * 15] * 11
 
+    def test_one_row_per_tried_step_then_every_halving_in_one_batch(self, monkeypatch):
+        # The ternary anchor at 1.5 C: its uniform start is the minimum over
+        # {0, 1, 2}.  The start and the full step take one row each, then all
+        # 42 halvings down to the 1e-13 floor are refused in one batch.
+        obj = _SupportObjective(1.5 * capacity(TERNARY_CHANNEL), TERNARY_CHANNEL)
+        batches = []
+        values_and_rhos = obj.values_and_rhos
+        monkeypatch.setattr(obj, "values_and_rhos", lambda q: batches.append(len(q)) or values_and_rhos(q))
+        _minimize_over_support(obj, (0, 1, 2))
+        assert batches == [1, 1, 42]
+
 
 def _reference_support_minimum(obj: _SupportObjective, support: tuple) -> float:
     """The former search over a support of three or more letters: projected
@@ -800,6 +820,39 @@ def _reference_support_minimum(obj: _SupportObjective, support: tuple) -> float:
         step[failed] *= 0.5
         live = np.sort(np.concatenate((moved[moves[moved] < 120], failed[step[failed] > 1e-10])))
     return float(fx.min())
+
+
+def _reference_support_fg(obj: _SupportObjective, support: tuple):
+    """The (value, gradient) of the support descent at one point on
+    ``support``, with a step onto a face where rho* = -1 refused as +inf."""
+    nx = obj.matrix.shape[0]
+
+    def fg(x):
+        q = _on_support(support, x[None], nx)
+        value, rho = obj.values_and_rhos(q)
+        if rho[0] == -1.0 and not x.all():
+            return math.inf, None
+        return float(value[0]), obj.gradients(q, rho)[0, list(support)]
+
+    return fg
+
+
+def _bits(result):
+    """The bytes of a descent's (point, value)."""
+    x, fx = result
+    return x.tobytes(), np.float64(fx).tobytes()
+
+
+# A 4x3 channel and rate where the descent over {0, 1, 3} from the uniform
+# point first reaches the face {0, 3}, on which rho* = -1.
+FACE_ROWS = np.array([
+    [0.04101044, 0.93846737, 0.02052219],
+    [0.01755113, 0.46990157, 0.51254729],
+    [0.18559906, 0.76333701, 0.05106393],
+    [0.44679148, 0.05472800, 0.49848052],
+])
+FACE_CASE = (Channel(FACE_ROWS / FACE_ROWS.sum(axis=1, keepdims=True)), 0.7104648427880704)
+TERNARY_CHANNEL = Channel(np.array(TERNARY[0]))
 
 
 @st.composite
@@ -851,16 +904,29 @@ class TestSupportDescent:
         # From the uniform point, a step onto the face {0, 3} lowers the value
         # to that face's minimum, where rho* = -1 and the gradient vanishes;
         # the minimum over {0, 1, 3} lies inside the support and is lower.
-        rows = np.array([
-            [0.04101044, 0.93846737, 0.02052219],
-            [0.01755113, 0.46990157, 0.51254729],
-            [0.18559906, 0.76333701, 0.05106393],
-            [0.44679148, 0.05472800, 0.49848052],
-        ])
-        obj = _SupportObjective(0.7104648427880704, Channel(rows / rows.sum(axis=1, keepdims=True)))
+        p, rate = FACE_CASE
+        obj = _SupportObjective(rate, p)
         val = _minimize_over_support(obj, (0, 1, 3))
         assert val <= _reference_support_minimum(obj, (0, 1, 3)) * (1 + 1e-14)
         assert val < _minimize_over_pairs(obj, [(0, 3)])[0] - 5e-4
+
+    @settings(max_examples=4, deadline=None)
+    @given(channel_above_capacity())
+    @example(FACE_CASE)
+    @example((TERNARY_CHANNEL, 1.5 * capacity(TERNARY_CHANNEL)))  # the uniform start is the minimum
+    def test_descent_takes_the_one_at_a_time_steps(self, case):
+        p, rate = case
+        nx = p.num_inputs
+        obj = _SupportObjective(rate, p)
+        descend = oracle._pgd_on_simplex
+        for sup in [sup for size in range(3, nx + 1) for sup in itertools.combinations(range(nx), size)]:
+            ends = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_pgd_on_simplex", lambda *args: ends.append(descend(*args)) or ends[-1])
+                value = _minimize_over_support(obj, sup)
+            ref = reference_pgd(_reference_support_fg(obj, sup), np.full(len(sup), 1.0 / len(sup)))
+            assert _bits(ends[0]) == _bits(ref)
+            assert value == ref[1]
 
 
 class TestProjectSimplex:
@@ -939,6 +1005,28 @@ def objective_case(draw):
     return _Objective(kind, draw(st.floats(0.0, 1.5)), sweep), points.reshape(points.shape[0], -1)
 
 
+@st.composite
+def descent_case(draw, kind, conditional):
+    """A random 2x2 to 3x3 channel with zero entries, a Q that may miss a
+    letter, its joint or conditional sweep at the coarsest resolution, the
+    objective of ``kind`` at a rate, and a start: the grid argmin, or a random
+    point off the cells where QoP is zero."""
+    p, rng = _random_channel(draw, st.integers(2, 3), st.integers(2, 3))
+    probs = rng.dirichlet(np.ones(p.num_inputs))
+    if draw(st.booleans()):
+        probs[draw(st.integers(0, p.num_inputs - 1))] = 0.0
+    q = Distribution(probs / probs.sum())
+    sweep = (conditional_sweep if conditional else joint_sweep)(q, p, MIN_RESOLUTION)
+    obj = _Objective(kind, draw(st.floats(0.0, 1.5)), sweep)
+    x0 = sweep.argmin(kind, obj.rate)
+    if x0 is None or draw(st.booleans()):
+        x0 = rng.dirichlet(np.ones(sweep.row_len), size=sweep.grid.shape[1] // sweep.row_len).ravel()
+        x0[sweep.chain(sweep.qp_zero * 1.0) != 0] = 0.0  # chain scales by Q(x) > 0
+        rows = x0.reshape(-1, sweep.row_len)
+        x0 = (rows / rows.sum(axis=1, keepdims=True)).ravel()
+    return obj, x0
+
+
 def _reference_value(obj: _Objective, m: np.ndarray) -> float:
     """The refined objective at one joint mass (|Y|, |X|), in Python floats,
     as the one-point objective computed it before the batched form."""
@@ -1001,6 +1089,18 @@ class TestBatchedLineSearch:
         for x, value, m in zip(points, values.tolist(), obj.sweep.masses(points)):
             assert obj.fg(x)[0] == value
             assert _reference_value(obj, m) == value
+
+    @pytest.mark.parametrize("conditional", [False, True], ids=["joint", "conditional"])
+    @pytest.mark.parametrize("kind", list(ImplicitKind), ids=lambda kind: kind.value)
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_descents_take_the_one_at_a_time_steps(self, kind, conditional, data):
+        obj, x0 = data.draw(descent_case(kind, conditional))
+        sweep = obj.sweep
+        got = _pgd_on_simplex(obj.fg, obj.values, x0, sweep.project)
+        assert _bits(got) == _bits(reference_pgd(obj.fg, x0, sweep.project))
+        got = _refine_rows(obj.values, x0, sweep.row_len, sweep.bracket)
+        assert _bits(got) == _bits(reference_refine_rows(obj.values, x0, sweep.row_len, sweep.bracket))
 
     @settings(max_examples=300, deadline=None)
     @given(rows_to_project())
